@@ -25,13 +25,8 @@ from scipy.sparse.csgraph import connected_components
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
+# Reach masks of the exact oracle hold one bit per edge endpoint in a
+# uint64, so 2 * EXACT_COIN_LIMIT <= 64 must hold.
 EXACT_COIN_LIMIT = 20
 
 
@@ -306,17 +301,87 @@ def _reachable(adj: list[list[int]], seeds) -> set[int]:
     return active
 
 
-def exact_utilities(
-    g: Graph,
-    seeds: SeedSet,
-    part: CommunityPartition,
-    limit: int = EXACT_COIN_LIMIT,
-) -> UtilityVector:
+def _coin_weights(p: float, m: int) -> list[Fraction]:
+    """Probability of one live-edge subset with j of its m coins live, j = 0..m.
+
+    p originates from a decimal literal and is read exactly as such
+    (Fraction(0.35) would be the binary float's rational, not 7/20).
+    """
+    q = Fraction(str(p))
+    return [q**j * (1 - q) ** (m - j) for j in range(m + 1)]
+
+
+class _LiveEdgeSubsets:
+    """All 2^m live-edge subsets of a graph with at most EXACT_COIN_LIMIT coins.
+
+    Each undirected edge is a single coin (both directions), each
+    directed arc its own coin; subset s keeps coin a iff bit a of s is
+    set.  A reach mask has bit i set iff the i-th smallest edge endpoint
+    is reached.  A vertex touching no edge reaches only itself in every
+    subset, so it has no bit and adds a constant 1 to its community.
+    """
+
+    def __init__(self, g: Graph, part: CommunityPartition):
+        m = len(g.edges)
+        if m > EXACT_COIN_LIMIT:
+            raise EnumerationLimitError(
+                f"{m} coins exceed the enumeration limit {EXACT_COIN_LIMIT} "
+                "with p not in {0, 1}"
+            )
+        self.part = part
+        self.endpoints = sorted({u for e in g.edges for u in e})
+        self.bit = {v: i for i, v in enumerate(self.endpoints)}
+        self.arcs = [(a, self.bit[u], self.bit[v]) for a, (u, v) in enumerate(g.edges)]
+        if not g.directed:
+            self.arcs += [(a, v, u) for a, u, v in self.arcs]
+        comm_masks = [0] * part.num_communities
+        for v, i in self.bit.items():
+            comm_masks[part.labels[v]] |= 1 << i
+        self.comm_masks = np.array(comm_masks, dtype=np.uint64)
+        self.num_subsets = 1 << m
+        # Subsets ordered by their number of live coins; group j starts
+        # at by_coins[j] (every group is non-empty).
+        coins = np.bitwise_count(np.arange(self.num_subsets, dtype=np.uint64))
+        self.order = np.argsort(coins, kind="stable")
+        self.by_coins = np.searchsorted(coins[self.order], np.arange(m + 1))
+        self.weights = _coin_weights(g.p, m)
+
+    def reach(self, starts) -> np.ndarray:
+        """(len(starts), 2^m) reach masks of each start vertex set in every subset."""
+        reach = np.zeros((len(starts), self.num_subsets), dtype=np.uint64)
+        for row, start in zip(reach, starts):
+            row[:] = sum(1 << self.bit[v] for v in start if v in self.bit)
+            while True:
+                before = row.copy()
+                for a, u, v in self.arcs:
+                    live = row.reshape(-1, 2, 1 << a)[:, 1, :]  # subsets keeping coin a
+                    live |= ((live >> u) & 1) << v
+                if np.array_equal(row, before):
+                    break
+        return reach
+
+    def utilities(self, cover: np.ndarray, seeds) -> UtilityVector:
+        """Exact utilities of a seed set whose reach masks are ``cover``."""
+        hits = np.bitwise_count(cover[self.order, None] & self.comm_masks)
+        counts = np.add.reduceat(hits, self.by_coins, axis=0, dtype=np.int64)
+        isolated = [0] * self.part.num_communities
+        for v in seeds:
+            if v not in self.bit:
+                isolated[self.part.labels[v]] += 1
+        values = tuple(
+            Fraction(sum(int(n) * w for n, w in zip(counts[:, c], self.weights)) + iso, n_c)
+            for c, (iso, n_c) in enumerate(zip(isolated, self.part.sizes))
+        )
+        return UtilityVector(values=values, sizes=self.part.sizes)
+
+
+def exact_utilities(g: Graph, seeds: SeedSet, part: CommunityPartition) -> UtilityVector:
     """Exact rational utilities by live-edge enumeration.
 
     Each undirected edge is a single coin (both directions), each
-    directed arc its own coin.  Requires at most ``limit`` coins unless
-    p is 0 or 1, in which case plain reachability applies at any size.
+    directed arc its own coin.  Requires at most EXACT_COIN_LIMIT coins
+    unless p is 0 or 1, in which case plain reachability applies at any
+    size.
     """
     for v in seeds.vertices:
         if not (0 <= v < g.n):
@@ -332,104 +397,5 @@ def exact_utilities(
             counts[part.labels[v]] += 1
         values = tuple(Fraction(c, n_c) for c, n_c in zip(counts, sizes))
         return UtilityVector(values=values, sizes=sizes)
-
-    m = len(g.edges)
-    if m > limit:
-        raise EnumerationLimitError(
-            f"{m} coins exceed the enumeration limit {limit} with p not in {{0, 1}}"
-        )
-
-    # Condense to arc endpoints plus seeds; everything else stays inactive.
-    touched = sorted({u for e in g.edges for u in e} | set(seeds.vertices))
-    remap = {orig: i for i, orig in enumerate(touched)}
-    nv = len(touched)
-    src = np.array([remap[u] for u, _ in g.edges], dtype=np.int64)
-    dst = np.array([remap[v] for _, v in g.edges], dtype=np.int64)
-    bidir = np.zeros(m, dtype=np.bool_) if g.directed else np.ones(m, dtype=np.bool_)
-    seed_mask = 0
-    for v in seeds.vertices:
-        seed_mask |= 1 << remap[v]
-    comm = np.array([part.labels[v] for v in touched], dtype=np.int64)
-    C = part.num_communities
-
-    if _HAVE_NUMBA and nv <= 62:
-        counts_by_k = _enum_counts_numba(src, dst, bidir, seed_mask, comm, nv, C)
-    else:
-        counts_by_k = _enum_counts_py(src, dst, bidir, seed_mask, comm, nv, C)
-
-    # p originates from a decimal literal; interpret it exactly as such
-    # (Fraction(0.35) would be the binary float's rational instead of 7/20).
-    p = Fraction(str(g.p))
-    values = []
-    for c in range(C):
-        acc = Fraction(0)
-        for k in range(m + 1):
-            cnt = int(counts_by_k[k][c])
-            if cnt:
-                acc += cnt * p**k * (1 - p) ** (m - k)
-        values.append(acc / sizes[c])
-    return UtilityVector(values=tuple(values), sizes=sizes)
-
-
-def _enum_counts_py(src, dst, bidir, seed_mask, comm, nv, C):
-    m = len(src)
-    counts = [[0] * C for _ in range(m + 1)]
-    for s in range(1 << m):
-        reach = seed_mask
-        changed = True
-        while changed:
-            changed = False
-            for a in range(m):
-                if (s >> a) & 1:
-                    u, v = src[a], dst[a]
-                    ru = (reach >> int(u)) & 1
-                    rv = (reach >> int(v)) & 1
-                    if ru and not rv:
-                        reach |= 1 << int(v)
-                        changed = True
-                    elif bidir[a] and rv and not ru:
-                        reach |= 1 << int(u)
-                        changed = True
-        k = bin(s).count("1")
-        row = counts[k]
-        for w in range(nv):
-            if (reach >> w) & 1:
-                row[comm[w]] += 1
-    return counts
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _enum_counts_numba_impl(src, dst, bidir, seed_mask, comm, nv, C):  # pragma: no cover
-        m = src.size
-        counts = np.zeros((m + 1, C), dtype=np.int64)
-        for s in range(1 << m):
-            reach = seed_mask
-            changed = True
-            while changed:
-                changed = False
-                for a in range(m):
-                    if (s >> a) & 1:
-                        u = src[a]
-                        v = dst[a]
-                        ru = (reach >> u) & 1
-                        rv = (reach >> v) & 1
-                        if ru == 1 and rv == 0:
-                            reach |= 1 << v
-                            changed = True
-                        elif bidir[a] and rv == 1 and ru == 0:
-                            reach |= 1 << u
-                            changed = True
-            k = 0
-            t = s
-            while t:
-                t &= t - 1
-                k += 1
-            for w in range(nv):
-                if (reach >> w) & 1:
-                    counts[k, comm[w]] += 1
-        return counts
-
-    def _enum_counts_numba(src, dst, bidir, seed_mask, comm, nv, C):
-        return _enum_counts_numba_impl(src, dst, bidir, np.int64(seed_mask), comm, nv, C)
+    subsets = _LiveEdgeSubsets(g, part)
+    return subsets.utilities(subsets.reach([seeds.vertices])[0], seeds.vertices)

@@ -169,7 +169,7 @@ def _cmd_select(args) -> int:
         {"command": "select", "graph": str(args.graph), "k": args.k,
          "method": args.method, "alpha": args.alpha, "sketches": args.sketches,
          "seed": args.seed, "format": args.format, "out": args.out,
-         "threads": args.threads, "version": __version__},
+         "version": __version__},
     )
     return EXIT_OK
 
@@ -209,8 +209,7 @@ def _cmd_sweep(args) -> int:
         rows_to_csv(rows, args.out)
         write_metadata(
             str(args.out) + ".meta.json", cfg,
-            extra={"command": "sweep", "experiment": kind, "config": str(args.config),
-                   "threads": args.threads},
+            extra={"command": "sweep", "experiment": kind, "config": str(args.config)},
         )
     else:
         for r in rows:
@@ -308,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--format", choices=("text", "csv", "json"), default="text",
                 help="output format (default: text)",
             )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker cap; does not affect results (default: 1)",
-        )
 
     p = sub.add_parser("gen-sbm", help="sample a stochastic block model graph")
     p.add_argument("--spec", required=True, help="SBM spec document (JSON)")

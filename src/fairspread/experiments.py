@@ -18,7 +18,6 @@ from statistics import mean, pstdev
 
 from .cascade import estimate_utilities, sample_sketches
 from .errors import GraphFormatError, InfeasibleError
-from .fixtures import verify_all as verify_fixtures  # noqa: F401  (re-export)
 from .graph import CommunityPartition, Graph, SbmSpec, generate_sbm
 from .optimize import (
     dc_lower_bounds,

@@ -2,22 +2,20 @@
 
 Each fixture is a small graph, a community partition and a few named
 seed sets that together witness a failure mode of a fairness notion
-(e.g. a parity constraint preferring a Pareto-dominated outcome).  The
-instances ship as JSON data files; ``verify_fixture`` recomputes every
-utility with the exact oracle and checks the witnessed property.
+(e.g. a parity constraint preferring a Pareto-dominated outcome).  Each
+instance is built by its ``build_*`` function; ``verify_fixture``
+recomputes every utility with the exact oracle and checks the witnessed
+property.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from .cascade import UtilityVector, exact_utilities
 from .errors import GraphFormatError
-from .graph import CommunityPartition, Graph, SeedSet, load_graph
+from .graph import CommunityPartition, Graph, SeedSet
 from .welfare import (
     WelfareParams,
     check_gap_reduction,
@@ -272,63 +270,11 @@ FIXTURE_BUILDERS = {
 FIXTURE_NAMES = tuple(FIXTURE_BUILDERS)
 
 
-def fixture_to_document(fx: Fixture) -> dict:
-    meta = {
-        "description": fx.description,
-        "k": fx.params["k"],
-        "seed_sets": {name: s.sorted() for name, s in fx.seed_sets.items()},
-    }
-    if "delta" in fx.params:
-        meta["delta"] = (
-            str(fx.params["delta"])
-            if isinstance(fx.params["delta"], Fraction)
-            else fx.params["delta"]
-        )
-    return {
-        "n": fx.graph.n,
-        "directed": fx.graph.directed,
-        "p": fx.graph.p,
-        "edges": [[u, v] for u, v in fx.graph.edges],
-        "communities": list(fx.partition.labels),
-        "meta": meta,
-    }
-
-
-def write_fixture_files(directory) -> list[Path]:
-    out = []
-    for name, build in FIXTURE_BUILDERS.items():
-        fx = build()
-        doc = fixture_to_document(fx)
-        path = Path(directory) / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=1) + "\n")
-        out.append(path)
-    return out
-
-
 def load_fixture(name: str) -> Fixture:
-    """Load a packaged fixture data file."""
+    """Build a bundled fixture by name."""
     if name not in FIXTURE_BUILDERS:
         raise GraphFormatError(f"unknown fixture '{name}'")
-    ref = resources.files("fairspread") / "data" / f"{name}.json"
-    doc = json.loads(ref.read_text())
-    g, part = load_graph(doc)
-    meta = doc["meta"]
-    k = meta["k"]
-    seed_sets = {
-        sname: SeedSet(frozenset(vs), k) for sname, vs in meta["seed_sets"].items()
-    }
-    params = {"k": k}
-    if "delta" in meta:
-        d = meta["delta"]
-        params["delta"] = Fraction(d) if isinstance(d, str) else d
-    return Fixture(
-        name=name,
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params=params,
-        description=meta["description"],
-    )
+    return FIXTURE_BUILDERS[name]()
 
 
 # --- verification -----------------------------------------------------------

@@ -219,25 +219,42 @@ def induced_within_community_subgraph(
 
 
 def load_graph(source) -> tuple[Graph, CommunityPartition]:
-    """Parse a graph document (path or already-parsed dict)."""
+    """Parse a graph document (path or already-parsed dict).
+
+    Field types are checked, not coerced: ``directed`` must be a
+    boolean, ``p`` a number, ``edges`` and ``communities`` lists, and
+    ``n``, edge endpoints and community labels integers (booleans are
+    rejected for all of these).
+    """
     doc = _read_document(source)
     for key in ("n", "directed", "p", "edges", "communities"):
         if key not in doc:
             raise GraphFormatError(f"missing field '{key}'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise GraphFormatError("'n' must be an integer")
+    if not isinstance(doc["directed"], bool):
+        raise GraphFormatError("'directed' must be true or false")
+    p = doc["p"]
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise GraphFormatError("'p' must be a number")
+    for key in ("edges", "communities"):
+        if not isinstance(doc[key], (list, tuple)):
+            raise GraphFormatError(f"'{key}' must be a list")
     edges = []
     for e in doc["edges"]:
-        if len(e) != 2:
-            raise GraphFormatError(f"malformed edge entry {e!r}")
-        edges.append((int(e[0]), int(e[1])))
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+            raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
+        edges.append((e[0], e[1]))
     labels = doc["communities"]
     if len(labels) != n:
         raise GraphFormatError(
             f"{len(labels)} community labels for {n} vertices (vertex without community label)"
         )
-    g = Graph(n=n, edges=tuple(edges), directed=bool(doc["directed"]), p=float(doc["p"]))
+    for c in labels:
+        if not _is_int(c):
+            raise GraphFormatError(f"community label {c!r} is not an integer")
+    g = Graph(n=n, edges=tuple(edges), directed=doc["directed"], p=float(p))
     part = CommunityPartition(labels=tuple(labels))
     return g, part
 
@@ -282,3 +299,7 @@ def _read_document(source) -> dict:
     if not isinstance(doc, dict):
         raise GraphFormatError("document root must be an object")
     return doc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)

@@ -25,6 +25,7 @@ from .cascade import (
     SketchSet,
     UndirectedSketchSet,
     UtilityVector,
+    _LiveEdgeSubsets,
     estimate_utilities,
     exact_utilities,
     sample_sketches,
@@ -412,55 +413,16 @@ def enumerate_seed_set_utilities(
             yield combo, exact_utilities(g, seeds, part)
         return
 
-    # Enumerate coin subsets once; reuse singleton reachability per subset.
-    m = len(g.edges)
-    if m > 20:
-        raise EnumerationLimitError(f"{m} coins exceed the exact enumeration limit")
-    n = g.n
-    comm_masks = [0] * part.num_communities
-    for v, c in enumerate(part.labels):
-        comm_masks[c] |= 1 << v
-    sizes = part.sizes
-    per_subset_reach: list[list[int]] = []
-    for s in range(1 << m):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a in range(m):
-            if (s >> a) & 1:
-                u, v = g.edges[a]
-                adj[u].append(v)
-                if not g.directed:
-                    adj[v].append(u)
-        reach = [0] * n
-        for v0 in range(n):
-            seen = 1 << v0
-            stack = [v0]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if not (seen >> w) & 1:
-                        seen |= 1 << w
-                        stack.append(w)
-            reach[v0] = seen
-        per_subset_reach.append(reach)
-    popcounts = [bin(s).count("1") for s in range(1 << m)]
-    p = Fraction(str(g.p))  # decimal-literal reading, matching the exact oracle
-    weights = [p**j * (1 - p) ** (m - j) for j in range(m + 1)]
-    C = part.num_communities
+    # Enumerate coin subsets once; the reach of a seed set is the union
+    # of its members' singleton reaches.
+    subsets = _LiveEdgeSubsets(g, part)
+    singles = dict(zip(subsets.endpoints, subsets.reach([[v] for v in subsets.endpoints])))
     for combo in combinations(range(g.n), k):
-        counts_by_j = [[0] * C for _ in range(m + 1)]
-        for s in range(1 << m):
-            cover = 0
-            reach = per_subset_reach[s]
-            for v in combo:
-                cover |= reach[v]
-            row = counts_by_j[popcounts[s]]
-            for c in range(C):
-                row[c] += (cover & comm_masks[c]).bit_count()
-        values = tuple(
-            sum(weights[j] * counts_by_j[j][c] for j in range(m + 1)) / sizes[c]
-            for c in range(C)
-        )
-        yield combo, UtilityVector(values=values, sizes=sizes)
+        cover = np.zeros(subsets.num_subsets, dtype=np.uint64)
+        for v in combo:
+            if v in singles:
+                cover |= singles[v]
+        yield combo, subsets.utilities(cover, combo)
 
 
 def exhaustive_opt(

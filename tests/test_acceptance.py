@@ -557,19 +557,20 @@ def test_criterion_10_case_study_not_reproducible():
     # not distributed.  Neither input ships with this package, so those
     # magnitudes cannot be checked here; criteria 8 and 9 cover the
     # same qualitative claims on fully specified synthetic parameters.
+    package = resources.files("fairspread")
     data_files = sorted(
         ref.name
-        for ref in (resources.files("fairspread") / "data").iterdir()
-        if ref.name.endswith(".json")
+        for ref in package.iterdir()
+        if ref.is_file() and not ref.name.endswith(".py")
     )
-    assert data_files == sorted(f"{name}.json" for name in FIXTURE_NAMES), (
-        "package data must contain only the six counterexample fixtures, "
-        "not any real-network inputs"
+    assert data_files == [] and not (package / "data").is_dir(), (
+        "the package must ship no data files, in particular no real-network inputs"
     )
+    assert len(FIXTURE_NAMES) == 6
     _report(
         10,
         True,
-        "real-world case-study inputs are not distributed; bundled data is "
-        "limited to the six exact counterexample fixtures, and criteria 8-9 "
-        "stand in on published synthetic parameters",
+        "real-world case-study inputs are not distributed; the package ships "
+        "no data files, only the builders of the six exact counterexample "
+        "fixtures, and criteria 8-9 stand in on published synthetic parameters",
     )

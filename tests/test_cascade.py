@@ -16,6 +16,7 @@ from fairspread.cascade import (
 )
 from fairspread.errors import EnumerationLimitError, GraphFormatError
 from fairspread.graph import CommunityPartition, Graph, SbmSpec, SeedSet, generate_sbm
+from fairspread.optimize import enumerate_seed_set_utilities
 
 
 def _one_comm(n):
@@ -175,3 +176,69 @@ def test_exact_vs_monte_carlo_random_graphs():
         mc = estimate_utilities(sk, seeds, part)
         for a, b in zip(exact.values, mc.values):
             assert abs(float(a) - float(b)) < 0.02
+
+
+def _exact_by_loop(g, seeds, part):
+    """Reference oracle: one reachability search per live-edge subset."""
+    m = len(g.edges)
+    p = Fraction(str(g.p))
+    totals = [Fraction(0)] * part.num_communities
+    for s in range(1 << m):
+        live = [e for a, e in enumerate(g.edges) if (s >> a) & 1]
+        adj = [[] for _ in range(g.n)]
+        for u, v in live:
+            adj[u].append(v)
+            if not g.directed:
+                adj[v].append(u)
+        reached = set(seeds)
+        stack = list(seeds)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        weight = p ** len(live) * (1 - p) ** (m - len(live))
+        for v in reached:
+            totals[part.labels[v]] += weight
+    return tuple(t / n_c for t, n_c in zip(totals, part.sizes))
+
+
+def _random_exact_instance(rng, directed, n, m):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    idx = rng.choice(len(pairs), size=min(m, len(pairs)), replace=False)
+    edges = tuple(pairs[i] for i in sorted(idx))
+    p = (0.5, 0.3, 0.35, 0.7, 0.15)[int(rng.integers(0, 5))]
+    labels = tuple(int(x) for x in rng.integers(0, 3, n - 3)) + (0, 1, 2)
+    return Graph(n=n, edges=edges, directed=directed, p=p), CommunityPartition(labels=labels)
+
+
+def test_exact_oracle_and_exhaustive_table_match_loop_reference():
+    rng = np.random.default_rng(2024)
+    for i in range(20):
+        g, part = _random_exact_instance(
+            rng, directed=bool(i % 2), n=int(rng.integers(4, 9)), m=int(rng.integers(0, 11))
+        )
+        for size in (1, 2, 3):
+            vs = frozenset(int(v) for v in rng.choice(g.n, size=size, replace=False))
+            got = exact_utilities(g, SeedSet(vs, size), part).values
+            assert got == _exact_by_loop(g, vs, part), (i, g, vs)
+            assert all(isinstance(x, Fraction) for x in got)
+        k = 1 + i % 2
+        for combo, u in enumerate_seed_set_utilities(g, part, k):
+            assert u.values == _exact_by_loop(g, combo, part), (i, g, combo)
+            assert all(isinstance(x, Fraction) for x in u.values)
+
+
+def test_exact_oracle_with_isolated_seeds_beyond_64_vertices():
+    # edges only among vertices 70..79; 66 of the 67 seeds touch no edge
+    rng = np.random.default_rng(5)
+    for directed in (False, True):
+        sub, _ = _random_exact_instance(rng, directed, n=10, m=8)
+        edges = tuple((70 + u, 70 + v) for u, v in sub.edges)
+        g = Graph(n=90, edges=edges, directed=directed, p=sub.p)
+        part = CommunityPartition(labels=tuple(v % 3 for v in range(90)))
+        seeds = frozenset(range(66)) | {edges[0][0]}
+        got = exact_utilities(g, SeedSet(seeds, len(seeds)), part).values
+        assert got == _exact_by_loop(g, seeds, part)
+        for combo, u in enumerate_seed_set_utilities(g, part, 1):
+            assert u.values == _exact_by_loop(g, combo, part), combo

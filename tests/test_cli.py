@@ -141,6 +141,7 @@ def test_sweep_writes_csv_and_metadata(tmp_path, capsys):
     assert len(lines) > 1
     meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
     assert meta["master_seed"] == 1 and meta["experiment"] == "sweep"
+    assert "threads" not in meta
 
 
 def test_verify_passes_on_bundled_fixtures(capsys):
@@ -180,6 +181,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["select", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_threads_option_removed(graph_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--graph", str(graph_file), "--k", "1", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_coerced_graph_field_exit_code(tmp_path, capsys):
+    doc = {"n": 2, "directed": "false", "p": 0.5, "edges": [[0, 1]], "communities": [0, 0]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["exact", "--graph", str(path), "0"])
+    assert rc == 3
+    assert "directed" in capsys.readouterr().err
 
 
 def test_help_available_per_subcommand(capsys):

@@ -1,6 +1,6 @@
 """Bundled counterexample fixture tests."""
 
-import json
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,11 +9,9 @@ from fairspread.cascade import estimate_utilities, sample_sketches
 from fairspread.errors import GraphFormatError
 from fairspread.fixtures import (
     EXPECTED_UTILITIES,
-    FIXTURE_BUILDERS,
     FIXTURE_NAMES,
     build_parity_nonmonotonic_directed,
     fixture_exact_utilities,
-    fixture_to_document,
     load_fixture,
     verify_all,
     verify_fixture,
@@ -26,13 +24,6 @@ def test_all_fixtures_verify_clean():
     assert set(report) == set(FIXTURE_NAMES)
     for name, failures in report.items():
         assert failures == [], f"{name}: {failures}"
-
-
-def test_packaged_data_matches_builders():
-    for name, build in FIXTURE_BUILDERS.items():
-        built = fixture_to_document(build())
-        packaged = fixture_to_document(load_fixture(name))
-        assert built == packaged, name
 
 
 def test_load_fixture_unknown_name():
@@ -55,20 +46,8 @@ def test_expected_tables_cover_every_seed_set():
 
 def test_verify_fixture_detects_tampering():
     fx = load_fixture("exact_parity_dominated")
-    doc = fixture_to_document(fx)
-    doc["p"] = 0.9  # utilities no longer match the reference values
-    from fairspread.fixtures import Fixture
-    from fairspread.graph import load_graph
-
-    g, part = load_graph(doc)
-    bad = Fixture(
-        name=fx.name,
-        graph=g,
-        partition=part,
-        seed_sets=fx.seed_sets,
-        params=fx.params,
-        description=fx.description,
-    )
+    # utilities no longer match the reference values
+    bad = dataclasses.replace(fx, graph=dataclasses.replace(fx.graph, p=0.9))
     assert verify_fixture("exact_parity_dominated", bad) != []
 
 
@@ -109,10 +88,9 @@ def test_gap_conflict_exact_values_are_rational():
 
 
 def test_data_files_have_meta_description():
-    from importlib import resources
-
+    # the description and seed sets once stored in each data file's meta block
     for name in FIXTURE_NAMES:
-        ref = resources.files("fairspread") / "data" / f"{name}.json"
-        doc = json.loads(ref.read_text())
-        assert doc["meta"]["description"]
-        assert doc["meta"]["seed_sets"]
+        fx = load_fixture(name)
+        assert fx.name == name
+        assert fx.description
+        assert fx.seed_sets

@@ -134,6 +134,30 @@ def test_load_graph_label_count_mismatch():
         load_graph(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("directed", "false", "'directed'"),
+        ("directed", 0, "'directed'"),
+        ("p", "0.5", "'p'"),
+        ("p", True, "'p'"),
+        ("n", True, "'n'"),
+        ("edges", 5, "'edges'"),
+        ("edges", [[0, 1.7]], "edge entry"),
+        ("edges", [[True, 2]], "edge entry"),
+        ("edges", [["0", 1]], "edge entry"),
+        ("communities", 5, "'communities'"),
+        ("communities", [0, 1.9, 0], "community label"),
+        ("communities", [0, True, 0], "community label"),
+    ],
+)
+def test_load_graph_rejects_coerced_values(field, value, message):
+    doc = {"n": 3, "directed": False, "p": 0.5, "edges": [[0, 1]], "communities": [0, 1, 0]}
+    load_graph(doc)  # the unmodified document is valid
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph({**doc, field: value})
+
+
 def test_load_sbm_spec(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(

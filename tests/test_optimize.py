@@ -197,6 +197,14 @@ def test_exhaustive_limit():
         exhaustive_opt(g, part, 12, "total", limit=1000)
 
 
+def test_exhaustive_exact_mode_enforces_coin_limit():
+    # 21 coins with p not in {0, 1}: the same limit and message as the oracle
+    g = Graph(n=22, edges=tuple((0, v) for v in range(1, 22)), p=0.5)
+    part = CommunityPartition(labels=(0,) * 22)
+    with pytest.raises(EnumerationLimitError, match="enumeration limit 20 with p not in"):
+        exhaustive_opt(g, part, 1, "total")
+
+
 def test_exhaustive_on_sketches_upper_bounds_greedy():
     for seed in range(3):
         g, part = _instance(seed, sizes=(6, 6), q=0.4, between=0.1)
