@@ -110,13 +110,13 @@ class UndirectedSketchSet:
             ncomp, labels = R * n, np.arange(R * n, dtype=np.int64)
         self.num_comps = int(ncomp)
         self.comp = labels.reshape(R, n).astype(np.int64)
-        self._evaluators: dict[int, "_UndirectedEvaluator"] = {}
+        self._evaluators: dict[CommunityPartition, "_UndirectedEvaluator"] = {}
 
     def evaluator(self, part: CommunityPartition) -> "_UndirectedEvaluator":
-        key = id(part)
-        if key not in self._evaluators:
-            self._evaluators[key] = _UndirectedEvaluator(self, part)
-        return self._evaluators[key]
+        """Evaluator for part, shared by every partition equal to it."""
+        if part not in self._evaluators:
+            self._evaluators[part] = _UndirectedEvaluator(self, part)
+        return self._evaluators[part]
 
     def coverage_state(self, part: CommunityPartition) -> "UndirectedCoverageState":
         return UndirectedCoverageState(self.evaluator(part))
@@ -158,17 +158,9 @@ class UndirectedCoverageState:
         new = cols[~self.covered[cols]]
         return self.ev.comp_comm[new].sum(axis=0)
 
-    def all_gain_counts(self) -> np.ndarray:
-        comp = self.ev.sk.comp
-        gains = self.ev.comp_comm[comp]  # (R, n, C)
-        gains = np.where(self.covered[comp][..., None], 0, gains)
-        return gains.sum(axis=0)
-
     def add(self, v: int) -> np.ndarray:
-        cols = self.ev.sk.comp[:, v]
-        new = cols[~self.covered[cols]]
-        delta = self.ev.comp_comm[new].sum(axis=0)
-        self.covered[cols] = True
+        delta = self.gain_counts(v)
+        self.covered[self.ev.sk.comp[:, v]] = True
         self.counts += delta
         return delta
 
@@ -187,19 +179,15 @@ class DirectedSketchSet:
 
     @property
     def closure(self) -> np.ndarray:
-        """(R, n, n) boolean reachability per sketch (v reaches w)."""
+        """(R, n, n) boolean reachability per sketch (v reaches w).
+
+        Built from the backward reach of every singleton {w}, whose
+        storage is vertex-major in v, so that the coverage row
+        closure[:, v, :] is one contiguous (R, n) block.
+        """
         if self._closure is None:
-            n = self.graph.n
-            A = np.zeros((self.R, n, n), dtype=bool)
-            for a, (u, v) in enumerate(self.graph.edges):
-                A[self.edge_masks[:, a], u, v] = True
-            idx = np.arange(n)
-            A[:, idx, idx] = True
-            steps = max(1, int(np.ceil(np.log2(max(n, 2)))))
-            B = A
-            for _ in range(steps):
-                B = np.matmul(B.astype(np.uint8), B.astype(np.uint8)) > 0
-            self._closure = B
+            singletons = [[w] for w in range(self.graph.n)]
+            self._closure = _live_reach(self, singletons, backward=True).transpose(0, 2, 1)
         return self._closure
 
     def coverage_state(self, part: CommunityPartition) -> "DirectedCoverageState":
@@ -217,19 +205,12 @@ class DirectedCoverageState:
         self.covered = np.zeros((sk.R, sk.graph.n), dtype=bool)
         self.counts = np.zeros(part.num_communities, dtype=np.int64)
 
-    def _new_coverage(self, v: int) -> np.ndarray:
-        return self.sk.closure[:, v, :] & ~self.covered
-
     def gain_counts(self, v: int) -> np.ndarray:
-        new = self._new_coverage(v)
+        new = self.sk.closure[:, v, :] & ~self.covered
         return np.array([new[:, cols].sum() for cols in self.comm_cols], dtype=np.int64)
 
-    def all_gain_counts(self) -> np.ndarray:
-        return np.stack([self.gain_counts(v) for v in range(self.sk.graph.n)])
-
     def add(self, v: int) -> np.ndarray:
-        new = self._new_coverage(v)
-        delta = np.array([new[:, cols].sum() for cols in self.comm_cols], dtype=np.int64)
+        delta = self.gain_counts(v)
         self.covered |= self.sk.closure[:, v, :]
         self.counts += delta
         return delta
@@ -245,23 +226,28 @@ def sample_sketches(g: Graph, R: int, master_seed) -> SketchSet:
     return UndirectedSketchSet(g, R, master_seed)
 
 
-def _directed_active_masks(sk: "DirectedSketchSet", seeds) -> np.ndarray:
-    """(R, n) activation table by arc-wise frontier propagation.
+def _live_reach(sk: DirectedSketchSet, starts, backward: bool = False) -> np.ndarray:
+    """(R, len(starts), n) table: start set s reaches w over sketch r's live arcs.
 
-    Avoids materializing the full reachability closure for one-off
-    evaluations with large R.
+    With backward=True arcs are followed in reverse, so entry [r, s, w]
+    says that w reaches start set s.  The table is a view of
+    vertex-major (n, R, len(starts)) storage: a sweep over the arcs ORs
+    one contiguous (R, len(starts)) block into another per arc, and
+    sweeps repeat until nothing changes.
     """
-    active = np.zeros((sk.R, sk.graph.n), dtype=bool)
-    active[:, sorted(seeds)] = True
-    changed = True
-    while changed:
-        changed = False
-        for a, (u, v) in enumerate(sk.graph.edges):
-            upd = active[:, u] & sk.edge_masks[:, a] & ~active[:, v]
-            if upd.any():
-                active[:, v] |= upd
-                changed = True
-    return active
+    reach = np.zeros((sk.graph.n, sk.R, len(starts)), dtype=bool)
+    for s, start in enumerate(starts):
+        reach[sorted(start), :, s] = True
+    live = np.ascontiguousarray(sk.edge_masks.T)[:, :, None]  # (m, R, 1)
+    arcs = [(a, v, u) if backward else (a, u, v) for a, (u, v) in enumerate(sk.graph.edges)]
+    step = np.empty(reach.shape[1:], dtype=bool)
+    before, count = -1, np.count_nonzero(reach)
+    while count != before:
+        for a, u, v in arcs:
+            np.logical_and(reach[u], live[a], out=step)
+            reach[v] |= step
+        before, count = count, np.count_nonzero(reach)
+    return reach.transpose(1, 2, 0)
 
 
 def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) -> UtilityVector:
@@ -274,7 +260,7 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
     else:
         if len(part.labels) != sk.graph.n:
             raise GraphFormatError("community partition does not match sketch graph")
-        active = _directed_active_masks(sk, seeds.vertices)
+        active = _live_reach(sk, [seeds.vertices])[:, 0, :]
         labels = np.asarray(part.labels, dtype=np.int64)
         counts = np.array(
             [int(active[:, labels == c].sum()) for c in range(part.num_communities)],

@@ -23,7 +23,6 @@ import numpy as np
 
 from .cascade import (
     SketchSet,
-    UndirectedSketchSet,
     UtilityVector,
     _LiveEdgeSubsets,
     estimate_utilities,
@@ -183,8 +182,10 @@ def _greedy_run(state, budget, objective, chosen, trace_vals, early_stop=None):
     """CELF lazy greedy continuing from an existing coverage state.
 
     Submodularity makes cached gains upper bounds, so an entry computed
-    at the current step is safe to select.  Ties break on lowest vertex
-    id; the selection sequence equals naive greedy's.
+    at the current step is safe to select.  Equal float gains break on
+    lowest vertex id.  Gains that tie exactly are split by float
+    rounding, and a cached gain can round below its vertex's fresh
+    gain, so on exact ties the sequence can differ from naive greedy's.
     """
     n = state.sk.graph.n if hasattr(state, "sk") else state.ev.sk.graph.n
     taken = set(chosen)
@@ -393,18 +394,9 @@ def enumerate_seed_set_utilities(
             f"C({g.n}, {k}) exceeds the exhaustive limit {limit}"
         )
     if sketches is not None:
-        if isinstance(sketches, UndirectedSketchSet):
-            ev = sketches.evaluator(part)
-            for combo in combinations(range(g.n), k):
-                counts = ev.coverage_counts(combo)
-                values = tuple(
-                    int(c) / (sketches.R * n_c) for c, n_c in zip(counts, part.sizes)
-                )
-                yield combo, UtilityVector(values=values, sizes=part.sizes)
-        else:
-            for combo in combinations(range(g.n), k):
-                seeds = SeedSet(vertices=frozenset(combo), k=max(k, 1))
-                yield combo, estimate_utilities(sketches, seeds, part)
+        for combo in combinations(range(g.n), k):
+            seeds = SeedSet(vertices=frozenset(combo), k=max(k, 1))
+            yield combo, estimate_utilities(sketches, seeds, part)
         return
 
     if g.p in (0.0, 1.0):

@@ -16,7 +16,7 @@ from fairspread.cascade import (
 )
 from fairspread.errors import EnumerationLimitError, GraphFormatError
 from fairspread.graph import CommunityPartition, Graph, SbmSpec, SeedSet, generate_sbm
-from fairspread.optimize import enumerate_seed_set_utilities
+from fairspread.optimize import enumerate_seed_set_utilities, greedy_utilitarian
 
 
 def _one_comm(n):
@@ -84,9 +84,20 @@ def test_coverage_state_agrees_with_batch_counts():
     assert np.array_equal(u_inc, u_batch)
 
 
+def test_evaluator_shared_by_equal_partitions():
+    g, part = generate_sbm(SbmSpec((10, 10), (0.3, 0.3), 0.05), rng_seed=1)
+    sk = sample_sketches(g, 5, 0)
+    twin = CommunityPartition(labels=tuple(part.labels))
+    assert twin is not part
+    assert sk.evaluator(twin) is sk.evaluator(part)
+    assert sk.evaluator(_one_comm(g.n)) is not sk.evaluator(part)
+
+
 def test_gain_counts_match_add_delta():
     g, part = generate_sbm(SbmSpec((20, 20), (0.2, 0.2), 0.05), rng_seed=8)
-    for sk in (sample_sketches(g, 60, 1),):
+    reversed_half = tuple((v, u) for u, v in g.edges[::2])
+    dg = Graph(n=g.n, edges=g.edges + reversed_half, directed=True, p=g.p)
+    for sk in (sample_sketches(g, 60, 1), sample_sketches(dg, 60, 1)):
         state = sk.coverage_state(part)
         rng = np.random.default_rng(0)
         for v in rng.permutation(g.n)[:10]:
@@ -105,22 +116,78 @@ def test_directed_state_matches_bruteforce_reachability():
     # brute force on the same sketches
     totals = np.zeros(2)
     for i in range(200):
-        adj = [[] for _ in range(5)]
-        for a, (x, y) in enumerate(g.edges):
-            if sk.edge_masks[i, a]:
-                adj[x].append(y)
-        active = {0, 3}
-        stack = [0, 3]
-        while stack:
-            w = stack.pop()
-            for nb in adj[w]:
-                if nb not in active:
-                    active.add(nb)
-                    stack.append(nb)
-        for v in active:
+        for v in _dfs(_live_adjacency(g, sk.edge_masks[i]), {0, 3}):
             totals[part.labels[v]] += 1
     assert u.values[0] == totals[0] / (200 * 2)
     assert u.values[1] == totals[1] / (200 * 3)
+
+
+def _live_adjacency(g, keep):
+    """Out-neighbour lists of the arcs of directed g that keep marks live."""
+    adj = [[] for _ in range(g.n)]
+    for (u, v), live in zip(g.edges, keep):
+        if live:
+            adj[u].append(v)
+    return adj
+
+
+def _dfs(adj, sources):
+    reached = set(sources)
+    stack = list(sources)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return reached
+
+
+def test_directed_closure_and_gains_match_bruteforce():
+    rng = np.random.default_rng(31)
+    # (n, tails, arcs, p, R): arcs leave only vertices below tails.  The
+    # last is dense: 256 tails form a core in which most pairs are joined
+    # through all 256 of them (a count that wraps to 0 in uint8), plus 44
+    # sinks.
+    for n, tails, m, p, R in ((30, 30, 90, 0.5, 12), (120, 120, 400, 0.35, 6),
+                              (300, 256, 2700, 0.9, 2)):
+        pairs = [(u, v) for u in range(tails) for v in range(n) if u != v]
+        edges = tuple(pairs[i] for i in rng.choice(len(pairs), size=m, replace=False))
+        g = Graph(n=n, edges=edges, directed=True, p=p)
+        labels = tuple(int(x) for x in rng.integers(0, 3, n - 3)) + (0, 1, 2)
+        part = CommunityPartition(labels=labels)
+        sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
+        reach = []  # reach[r][v]: vertices v reaches in sketch r
+        for r in range(R):
+            adj = _live_adjacency(g, sk.edge_masks[r])
+            reach.append([_dfs(adj, [v]) for v in range(n)])
+            expected = np.zeros((n, n), dtype=bool)
+            for v, reached in enumerate(reach[r]):
+                expected[v, sorted(reached)] = True
+            assert np.array_equal(sk.closure[r], expected), (n, r)
+        state = sk.coverage_state(part)
+        seeds = [int(v) for v in rng.choice(n, size=3, replace=False)]
+        for s in seeds:
+            state.add(s)
+        covered = [set().union(*(reach[r][s] for s in seeds)) for r in range(R)]
+        for v in range(n):
+            want = np.zeros(part.num_communities, dtype=np.int64)
+            for r in range(R):
+                for w in reach[r][v] - covered[r]:
+                    want[part.labels[w]] += 1
+            assert np.array_equal(state.gain_counts(v), want), (n, v)
+
+
+def test_directed_closure_counts_beyond_255_paths():
+    # 0 -> each of 1..256 -> 257: 256 paths from 0 to 257, which wraps a uint8 path count
+    n = 258
+    edges = tuple((0, w) for w in range(1, 257)) + tuple((w, 257) for w in range(1, 257))
+    g = Graph(n=n, edges=edges, directed=True, p=1.0)
+    part = _one_comm(n)
+    sk = sample_sketches(g, 2, 0)
+    assert sk.closure[:, 0, 257].all()
+    assert sk.coverage_state(part).gain_counts(0).tolist() == [2 * n]
+    _, trace = greedy_utilitarian(sk, part, 1)
+    assert trace.objective_after_each == (float(n),)
 
 
 def test_exact_path_graph():
