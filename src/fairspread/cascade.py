@@ -149,18 +149,19 @@ class UndirectedCoverageState:
     """Incrementally tracked coverage of a growing seed set."""
 
     def __init__(self, ev: _UndirectedEvaluator):
+        self.sk = ev.sk
         self.ev = ev
         self.covered = np.zeros(ev.sk.num_comps, dtype=bool)
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
 
     def gain_counts(self, v: int) -> np.ndarray:
-        cols = self.ev.sk.comp[:, v]
+        cols = self.sk.comp[:, v]
         new = cols[~self.covered[cols]]
         return self.ev.comp_comm[new].sum(axis=0)
 
     def add(self, v: int) -> np.ndarray:
         delta = self.gain_counts(v)
-        self.covered[self.ev.sk.comp[:, v]] = True
+        self.covered[self.sk.comp[:, v]] = True
         self.counts += delta
         return delta
 

@@ -30,8 +30,11 @@ from .experiments import (
 )
 from .fixtures import verify_all
 from .graph import (
-    SbmSpec,
     SeedSet,
+    _is_int,
+    _is_list_of,
+    _is_number,
+    _read_document,
     generate_sbm,
     load_graph,
     load_sbm_spec,
@@ -76,13 +79,28 @@ def _write_or_print(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_seeds(tokens: list[str]) -> list[int]:
-    out: list[int] = []
-    for tok in tokens:
-        for piece in tok.split(","):
-            if piece:
-                out.append(int(piece))
-    return out
+def _seed_token(tok: str) -> list[int]:
+    """One seeds argument: vertex ids separated by commas."""
+    try:
+        return [int(piece) for piece in tok.split(",") if piece]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed token {tok!r}") from None
+
+
+def _parse_seeds(tokens: list[list[int]]) -> list[int]:
+    return [v for tok in tokens for v in tok]
+
+
+# Sweep config fields passed to ExperimentConfig: (key, check, expected type).
+_SWEEP_FIELDS = (
+    ("budgets", lambda x: _is_list_of(x, _is_int), "a list of integers"),
+    ("alphas", lambda x: _is_list_of(x, _is_number), "a list of numbers"),
+    ("baselines", lambda x: _is_list_of(x, lambda b: isinstance(b, str)), "a list of names"),
+    ("replications", _is_int, "an integer"),
+    ("master_seed", _is_int, "an integer"),
+    ("R", _is_int, "an integer"),
+    ("p", _is_number, "a number"),
+)
 
 
 def _selection_report(args, part, seeds, u, extra: dict | None = None) -> str:
@@ -175,23 +193,18 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
+    doc = _read_document(args.config)
     kind = doc.get("experiment", "sweep")
     kwargs = {}
     if "sbm" in doc:
-        s = doc["sbm"]
-        kwargs["sbm"] = SbmSpec(
-            tuple(s["community_sizes"]), s["within_prob"], s["between_prob"]
-        )
-    elif "graph" in doc:
-        g, part = load_graph(doc["graph"])
-        kwargs["graph"], kwargs["partition"] = g, part
-    for key in ("budgets", "alphas", "baselines"):
+        kwargs["sbm"] = load_sbm_spec(doc["sbm"])
+    if "graph" in doc:
+        kwargs["graph"], kwargs["partition"] = load_graph(doc["graph"])
+    for key, check, expected in _SWEEP_FIELDS:
         if key in doc:
-            kwargs[key] = tuple(doc[key])
-    for key in ("replications", "master_seed", "R", "p"):
-        if key in doc:
-            kwargs[key] = doc[key]
+            if not check(doc[key]):
+                raise GraphFormatError(f"sweep config field '{key}' must be {expected}")
+            kwargs[key] = tuple(doc[key]) if isinstance(doc[key], list) else doc[key]
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
     if args.sketches is not None:
@@ -341,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         "exact", help="exact utilities for given seeds, or brute-force optimum"
     )
     common(p)
-    p.add_argument("seeds", nargs="*", help="seed vertex ids (exact utilities mode)")
+    p.add_argument("seeds", nargs="*", type=_seed_token,
+                   help="seed vertex ids (exact utilities mode)")
     p.add_argument("--k", type=int, default=1, help="budget for brute-force mode")
     p.add_argument(
         "--method", choices=("welfare", "utilitarian", "maximin"),
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="fairness metrics for a given seed set")
     common(p)
-    p.add_argument("seeds", nargs="+", help="seed vertex ids")
+    p.add_argument("seeds", nargs="+", type=_seed_token, help="seed vertex ids")
     p.add_argument("--alpha", type=float, default=0.0,
                    help="welfare inequality aversion (default: 0)")
     p.add_argument("--delta", type=float, default=None,

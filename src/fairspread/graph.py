@@ -9,6 +9,7 @@ extra keys (e.g. a ``meta`` block on fixture files) are ignored.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,14 +237,14 @@ def load_graph(source) -> tuple[Graph, CommunityPartition]:
     if not isinstance(doc["directed"], bool):
         raise GraphFormatError("'directed' must be true or false")
     p = doc["p"]
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
+    if not _is_number(p):
         raise GraphFormatError("'p' must be a number")
     for key in ("edges", "communities"):
         if not isinstance(doc[key], (list, tuple)):
             raise GraphFormatError(f"'{key}' must be a list")
     edges = []
     for e in doc["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+        if not (_is_list_of(e, _is_int) and len(e) == 2):
             raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
         edges.append((e[0], e[1]))
     labels = doc["communities"]
@@ -274,24 +275,36 @@ def save_graph(g: Graph, part: CommunityPartition, path, meta: dict | None = Non
 
 
 def load_sbm_spec(source) -> SbmSpec:
+    """Parse an SBM spec document (path or already-parsed dict).
+
+    Field types are checked, not coerced: ``community_sizes`` must be a
+    list of integers, ``within_prob`` a number or a list of numbers and
+    ``between_prob`` a number or a list of rows of numbers.
+    """
     doc = _read_document(source)
     for key in ("community_sizes", "within_prob", "between_prob"):
         if key not in doc:
             raise GraphFormatError(f"missing field '{key}' in SBM spec")
-    return SbmSpec(
-        community_sizes=tuple(doc["community_sizes"]),
-        within_prob=doc["within_prob"],
-        between_prob=doc["between_prob"],
-    )
+    sizes, within, between = doc["community_sizes"], doc["within_prob"], doc["between_prob"]
+    if not _is_list_of(sizes, _is_int):
+        raise GraphFormatError("'community_sizes' must be a list of integers")
+    if not (_is_number(within) or _is_list_of(within, _is_number)):
+        raise GraphFormatError("'within_prob' must be a number or a list of numbers")
+    matrix = _is_list_of(between, lambda row: _is_list_of(row, _is_number))
+    if not (_is_number(between) or matrix):
+        raise GraphFormatError("'between_prob' must be a number or a matrix of numbers")
+    return SbmSpec(community_sizes=tuple(sizes), within_prob=within, between_prob=between)
 
 
 def _read_document(source) -> dict:
     if isinstance(source, dict):
         return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise GraphFormatError(f"expected a document or a path, got {source!r}")
     try:
         text = Path(source).read_text()
     except OSError as exc:
-        raise GraphFormatError(f"cannot read graph document: {exc}") from exc
+        raise GraphFormatError(f"cannot read document: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -303,3 +316,11 @@ def _read_document(source) -> dict:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_list_of(x, check) -> bool:
+    return isinstance(x, (list, tuple)) and all(map(check, x))

@@ -2,13 +2,15 @@
 
 All selectors work on a fixed SketchSet, so their objectives are
 deterministic monotone submodular set functions and the classic greedy
-(1 - 1/e) guarantee applies.  Objective values are reported relative
-to the empty-set baseline (for welfare: the all-floored vector); the
-shift keeps marginal gains free of catastrophic cancellation at very
-negative alpha and makes approximation ratios meaningful.
+(1 - 1/e) guarantee applies.  Every objective's value is reported
+relative to the empty seed set (for welfare: the all-floored vector);
+the shift keeps marginal gains free of catastrophic cancellation at
+very negative alpha and makes approximation ratios meaningful.
 
-Marginal gains are always computed per community as g(u + d) - g(u),
-never as a difference of two full objective values.
+Welfare, SATURATE's truncation and the DC saturation are one separable
+form sum_c w_c (f(u_c) - f(0)); its marginal gains are computed per
+community as f(u + d) - f(u), never as a difference of two full
+objective values.  Total spread keeps an integer-sum gain.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +37,7 @@ from .graph import (
     SeedSet,
     induced_within_community_subgraph,
 )
-from .welfare import WelfareParams
+from .welfare import WelfareParams, isoelastic, total_influence, welfare
 
 EXHAUSTIVE_LIMIT = 2_000_000
 
@@ -71,18 +72,12 @@ class DcBounds:
 # --- objectives on per-community influenced counts --------------------------
 
 
-class _Objective:
-    """Maps summed per-community influenced counts to an objective value."""
+class TotalObjective:
+    """Total expected spread sum_c n_c u_c on the sketches.
 
-    def value(self, counts: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gain(self, counts: np.ndarray, delta: np.ndarray) -> float:
-        raise NotImplementedError
-
-
-class TotalObjective(_Objective):
-    """Total expected spread sum_c n_c u_c on the sketches."""
+    Gains come from the integer spread, so equal spreads give equal
+    floats and fall to the lowest-id tie rule.
+    """
 
     def __init__(self, R: int):
         self.R = R
@@ -94,85 +89,54 @@ class TotalObjective(_Objective):
         return float(delta.sum()) / self.R
 
 
-class WelfareObjective(_Objective):
-    """Baseline-shifted isoelastic welfare on sketch utilities."""
+class _Objective:
+    """Separable objective sum_c w_c (f(u_c) - f(0)) over active communities.
 
-    def __init__(self, part: CommunityPartition, R: int, params: WelfareParams):
-        self.sizes = np.array(part.sizes, dtype=np.float64)
-        self.R = R
-        self.alpha = params.alpha
-        self.eps = params.epsilon
+    u_c = counts_c / (R n_c) is community c's sketch utility; f acts
+    elementwise.  Gains apply f, then the mask, then the weights: CELF
+    splits exact ties by float rounding, so this order is part of what
+    the selectors pick.
+    """
 
-    def _gterms(self, u: np.ndarray) -> np.ndarray:
-        x = np.maximum(u, self.eps)
-        if self.alpha == 0:
-            return np.log(x)
-        return x**self.alpha / self.alpha
-
-    def value(self, counts):
-        u = counts / (self.R * self.sizes)
-        base = self._gterms(np.zeros_like(u))
-        return float(np.sum(self.sizes * (self._gterms(u) - base)))
-
-    def gain(self, counts, delta):
-        mask = delta > 0
-        if not mask.any():
-            return 0.0
-        sizes = self.sizes[mask]
-        u_old = counts[mask] / (self.R * sizes)
-        u_new = (counts[mask] + delta[mask]) / (self.R * sizes)
-        return float(np.sum(sizes * (self._gterms(u_new) - self._gterms(u_old))))
-
-
-class TruncatedObjective(_Objective):
-    """SATURATE inner objective sum_c min(u_c, gamma)."""
-
-    def __init__(self, part: CommunityPartition, R: int, gamma: float):
-        self.sizes = np.array(part.sizes, dtype=np.float64)
-        self.R = R
-        self.gamma = gamma
+    def __init__(self, part: CommunityPartition, R: int, f, weights=None, active=None):
+        C = part.num_communities
+        self.scale = R * np.array(part.sizes, dtype=np.float64)
+        self.f = f
+        self.weights = np.ones(C) if weights is None else weights
+        self.active = np.ones(C, dtype=bool) if active is None else active
+        self.base = f(np.zeros(C))
 
     def value(self, counts):
-        u = counts / (self.R * self.sizes)
-        return float(np.minimum(u, self.gamma).sum())
-
-    def gain(self, counts, delta):
-        mask = delta > 0
-        if not mask.any():
-            return 0.0
-        sizes = self.sizes[mask]
-        u_old = counts[mask] / (self.R * sizes)
-        u_new = (counts[mask] + delta[mask]) / (self.R * sizes)
-        return float(
-            np.sum(np.minimum(u_new, self.gamma) - np.minimum(u_old, self.gamma))
-        )
-
-
-class DcSaturationObjective(_Objective):
-    """Normalized saturation sum_c min(u_c / U_c, 1); U_c = 0 counts as met."""
-
-    def __init__(self, part: CommunityPartition, R: int, bounds: DcBounds):
-        self.sizes = np.array(part.sizes, dtype=np.float64)
-        self.R = R
-        self.U = np.array(bounds.bounds, dtype=np.float64)
-        self.active = self.U > 0
-
-    def value(self, counts):
-        u = counts / (self.R * self.sizes)
-        terms = np.where(self.active, np.minimum(u / np.where(self.active, self.U, 1.0), 1.0), 1.0)
-        return float(terms.sum())
+        terms = self.weights * (self.f(counts / self.scale) - self.base)
+        return float(np.sum(terms[self.active]))
 
     def gain(self, counts, delta):
         mask = (delta > 0) & self.active
         if not mask.any():
             return 0.0
-        sizes = self.sizes[mask]
-        U = self.U[mask]
-        u_old = counts[mask] / (self.R * sizes)
-        u_new = (counts[mask] + delta[mask]) / (self.R * sizes)
-        return float(
-            np.sum(np.minimum(u_new / U, 1.0) - np.minimum(u_old / U, 1.0))
-        )
+        terms = self.f((counts + delta) / self.scale) - self.f(counts / self.scale)
+        return float(np.sum(self.weights[mask] * terms[mask]))
+
+
+def welfare_objective(part: CommunityPartition, R: int, params: WelfareParams) -> _Objective:
+    """Isoelastic welfare sum_c n_c g(max(u_c, eps)) on sketch utilities."""
+    def f(u):
+        return isoelastic(np.maximum(u, params.epsilon), params.alpha)
+
+    return _Objective(part, R, f, weights=np.array(part.sizes, dtype=np.float64))
+
+
+def truncated_objective(part: CommunityPartition, R: int, gamma: float) -> _Objective:
+    """SATURATE inner objective sum_c min(u_c, gamma)."""
+    return _Objective(part, R, lambda u: np.minimum(u, gamma))
+
+
+def dc_objective(part: CommunityPartition, R: int, bounds: DcBounds) -> _Objective:
+    """Normalized saturation sum_c min(u_c / U_c, 1) over the bounds U_c > 0."""
+    U = np.array(bounds.bounds, dtype=np.float64)
+    active = U > 0
+    divisor = np.where(active, U, 1.0)
+    return _Objective(part, R, lambda u: np.minimum(u / divisor, 1.0), active=active)
 
 
 # --- greedy core ------------------------------------------------------------
@@ -187,7 +151,7 @@ def _greedy_run(state, budget, objective, chosen, trace_vals, early_stop=None):
     rounding, and a cached gain can round below its vertex's fresh
     gain, so on exact ties the sequence can differ from naive greedy's.
     """
-    n = state.sk.graph.n if hasattr(state, "sk") else state.ev.sk.graph.n
+    n = state.sk.graph.n
     taken = set(chosen)
     evaluations = 0
     heap = []
@@ -265,7 +229,7 @@ def greedy_welfare(
     sk: SketchSet, part: CommunityPartition, k: int, params: WelfareParams
 ) -> tuple[SeedSet, SelectionTrace]:
     """Lazy greedy maximizing W_alpha over sketch-estimated utilities."""
-    obj = WelfareObjective(part, sk.R, params)
+    obj = welfare_objective(part, sk.R, params)
     seeds, trace, _ = _lazy_greedy(sk, part, k, obj)
     return seeds, trace
 
@@ -296,7 +260,7 @@ def saturate_maximin(
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2
-        obj = TruncatedObjective(part, sk.R, mid)
+        obj = truncated_objective(part, sk.R, mid)
         seeds, _, state = _lazy_greedy(sk, part, k, obj)
         if obj.value(state.counts) >= C * mid - tol:
             lo = mid
@@ -359,12 +323,12 @@ def saturate_dc(
         raise InfeasibleError("bounds were computed for a different budget")
     if k < 1 or k > sk.graph.n:
         raise InfeasibleError("invalid budget")
-    C = part.num_communities
-    sat_obj = DcSaturationObjective(part, sk.R, bounds)
+    sat_obj = dc_objective(part, sk.R, bounds)
     state = sk.coverage_state(part)
     chosen: list[int] = []
     trace_vals: list[float] = []
-    _greedy_run(state, k, sat_obj, chosen, trace_vals, early_stop=C - 1e-12)
+    all_met = int(sat_obj.active.sum()) - 1e-12  # every positive bound saturated
+    _greedy_run(state, k, sat_obj, chosen, trace_vals, early_stop=all_met)
     if len(chosen) < k:
         total_obj = TotalObjective(sk.R)
         trace_vals2: list[float] = [0.0]
@@ -452,29 +416,11 @@ def exhaustive_opt(
 
 def _objective_value(u: UtilityVector, objective: str, params: WelfareParams | None):
     if objective == "total":
-        return sum(n_c * x for x, n_c in zip(u.values, u.sizes))
+        return total_influence(u)
     if objective == "maximin":
         return min(u.values)
     if objective == "welfare":
-        alpha = params.alpha
-        exact = all(isinstance(x, (Fraction, int)) for x in u.values) and float(
-            alpha
-        ).is_integer() and alpha != 0
-        if exact:
-            a = int(alpha)
-            eps = Fraction(params.epsilon)
-            return sum(
-                n_c * (max(Fraction(x), eps) ** a - eps**a) / a
-                for x, n_c in zip(u.values, u.sizes)
-            )
-        eps = params.epsilon
-        if alpha == 0:
-            return sum(
-                n_c * (math.log(max(float(x), eps)) - math.log(eps))
-                for x, n_c in zip(u.values, u.sizes)
-            )
-        return sum(
-            n_c * (max(float(x), eps) ** alpha - eps**alpha) / alpha
-            for x, n_c in zip(u.values, u.sizes)
-        )
+        # zeros of the utilities' own type keep Fraction utilities exact
+        floor = UtilityVector(values=tuple(0 * x for x in u.values), sizes=u.sizes)
+        return welfare(u, params) - welfare(floor, params)
     raise InfeasibleError(f"unknown objective '{objective}'")

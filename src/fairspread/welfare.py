@@ -4,11 +4,11 @@ The welfare of a utility vector u with community sizes n_c is
 
     W_a(u) = sum_c n_c * g(max(u_c, eps))
 
-with g(x) = x**a / a for a != 0 and g(x) = log(x) for a == 0.  The
-floor eps keeps the value finite when a community gets zero utility;
-by default it is placed below the smallest achievable positive utility
-(1/n), so comparisons between achievable positive utilities are never
-distorted.
+with g(x) = x**a / a for a != 0 and g(x) = log(x) for a == 0 (the
+``isoelastic`` helper, the only copy of the formula).  The floor eps
+keeps the value finite when a community gets zero utility; by default
+it is placed below the smallest achievable positive utility (1/n), so
+comparisons between achievable positive utilities are never distorted.
 
 Principles are exposed as comparators on pairs of utility vectors.  A
 verdict says whether the principle's premises apply to the pair and,
@@ -17,9 +17,10 @@ if so, which vector it mandates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import GraphFormatError, InfeasibleError
 from .cascade import UtilityVector
@@ -57,9 +58,13 @@ class PrincipleVerdict:
 NOT_APPLICABLE = PrincipleVerdict(applicable=False)
 
 
-def _g(x: float, alpha: float):
+def isoelastic(x, alpha):
+    """g(x) = log(x) at alpha = 0, else the power x^alpha divided by alpha.
+
+    Elementwise on numpy arrays; exact on Fractions for integer alpha.
+    """
     if alpha == 0:
-        return math.log(x)
+        return np.log(x)
     return x**alpha / alpha
 
 
@@ -79,10 +84,10 @@ def welfare(u: UtilityVector, params: WelfareParams):
         a = int(alpha)
         eps = Fraction(params.epsilon)
         return sum(
-            n_c * (max(Fraction(x), eps) ** a) / a for x, n_c in zip(u.values, u.sizes)
+            n_c * isoelastic(max(Fraction(x), eps), a) for x, n_c in zip(u.values, u.sizes)
         )
     return sum(
-        n_c * _g(max(float(x), params.epsilon), alpha)
+        n_c * isoelastic(max(float(x), params.epsilon), alpha)
         for x, n_c in zip(u.values, u.sizes)
     )
 

@@ -198,6 +198,83 @@ def test_coerced_graph_field_exit_code(tmp_path, capsys):
     assert "directed" in capsys.readouterr().err
 
 
+def test_malformed_sbm_spec_exit_code(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"community_sizes": [3.7, 4], "within_prob": 0.5, "between_prob": 0.1}
+    ))
+    rc = main(["gen-sbm", "--spec", str(path), "--seed", "0"])
+    assert rc == 3
+    assert "community_sizes" in capsys.readouterr().err
+
+
+_SWEEP_CONFIG = {
+    "experiment": "sweep",
+    "sbm": {"community_sizes": [8, 8], "within_prob": 0.2, "between_prob": 0.05},
+    "budgets": [2],
+    "alphas": [-2.0],
+    "replications": 1,
+    "R": 20,
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"budgets": 2}, "'budgets'"),
+        ({"budgets": [2.5]}, "'budgets'"),
+        ({"alphas": ["-2"]}, "'alphas'"),
+        ({"baselines": "utilitarian"}, "'baselines'"),
+        ({"replications": "1"}, "'replications'"),
+        ({"master_seed": [1, 2]}, "'master_seed'"),
+        ({"R": 2.5}, "'R'"),
+        ({"p": "0.3"}, "'p'"),
+        ({"sbm": {"community_sizes": [8, 8], "within_prob": True, "between_prob": 0.05}},
+         "'within_prob'"),
+        ({"sbm": 5}, "expected a document"),
+        ({"graph": {"n": 2, "directed": False, "p": 0.5, "edges": [], "communities": [0, 0]}},
+         "exactly one of sbm or graph"),
+    ],
+)
+def test_malformed_sweep_config_exit_code(tmp_path, capsys, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_SWEEP_CONFIG))
+    assert main(["sweep", "--config", str(path)]) == 0  # the unmodified config is valid
+    path.write_text(json.dumps({**_SWEEP_CONFIG, **change}))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_config_root_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([_SWEEP_CONFIG]))
+    assert main(["sweep", "--config", str(path)]) == 3
+    assert "root must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "x"],
+        ["exact", "0,x"],
+        ["exact", "0", "1.5"],
+        ["metrics", "x"],
+        ["metrics", "0,,y"],
+    ],
+)
+def test_bad_seed_token_is_usage_error(graph_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--graph", str(graph_file), *argv[1:]])
+    assert exc.value.code == 2
+    assert "invalid seed token" in capsys.readouterr().err
+
+
+def test_seed_tokens_split_on_commas(graph_file, capsys):
+    assert main(["exact", "--graph", str(graph_file), "0,4", ",", "6,", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seeds"] == [0, 4, 6]
+
+
 def test_help_available_per_subcommand(capsys):
     for cmd in ("gen-sbm", "select", "sweep", "exact", "verify", "metrics"):
         with pytest.raises(SystemExit) as exc:

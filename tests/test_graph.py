@@ -168,3 +168,24 @@ def test_load_sbm_spec(tmp_path):
     spec = load_sbm_spec(path)
     assert spec.community_sizes == (5, 5)
     assert spec.within_prob == (0.2, 0.2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("community_sizes", [3.7, 4], "'community_sizes'"),
+        ("community_sizes", [True, 4], "'community_sizes'"),
+        ("community_sizes", 7, "'community_sizes'"),
+        ("within_prob", True, "'within_prob'"),
+        ("within_prob", ["0.5", "0.5"], "'within_prob'"),
+        ("within_prob", "0.5", "'within_prob'"),
+        ("between_prob", "0.1", "'between_prob'"),
+        ("between_prob", [0.1, 0.1], "'between_prob'"),
+        ("between_prob", [[0.2, 0.1], [0.1, False]], "'between_prob'"),
+    ],
+)
+def test_load_sbm_spec_rejects_coerced_values(field, value, message):
+    doc = {"community_sizes": [3, 4], "within_prob": [0.5, 0.4], "between_prob": 0.1}
+    load_sbm_spec(doc)  # the unmodified document is valid
+    with pytest.raises(GraphFormatError, match=message):
+        load_sbm_spec({**doc, field: value})

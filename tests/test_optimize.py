@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairspread.cascade import estimate_utilities, sample_sketches
+from fairspread.cascade import UtilityVector, estimate_utilities, sample_sketches
 from fairspread.errors import EnumerationLimitError, InfeasibleError
 from fairspread.graph import (
     CommunityPartition,
@@ -15,8 +15,8 @@ from fairspread.graph import (
 from fairspread.optimize import (
     DcBounds,
     TotalObjective,
-    WelfareObjective,
     _lazy_greedy,
+    dc_objective,
     dc_lower_bounds,
     enumerate_seed_set_utilities,
     exhaustive_opt,
@@ -25,8 +25,10 @@ from fairspread.optimize import (
     naive_greedy,
     saturate_dc,
     saturate_maximin,
+    truncated_objective,
+    welfare_objective,
 )
-from fairspread.welfare import default_params, utility_gap
+from fairspread.welfare import default_params, utility_gap, welfare
 
 
 def _instance(seed=0, sizes=(25, 25), q=0.15, between=0.03, p=0.25):
@@ -47,7 +49,7 @@ def test_lazy_greedy_equals_naive_greedy():
         g, part = _instance(seed)
         sk = sample_sketches(g, 150, seed + 100)
         for alpha in (-5.0, 0.0, 0.5):
-            obj = WelfareObjective(part, sk.R, default_params(alpha, g.n))
+            obj = welfare_objective(part, sk.R, default_params(alpha, g.n))
             _, lazy_trace, _ = _lazy_greedy(sk, part, 6, obj)
             _, naive_trace = naive_greedy(sk, part, 6, obj)
             assert lazy_trace.chosen == naive_trace.chosen
@@ -80,6 +82,22 @@ def test_greedy_deterministic_tie_break_lowest_id():
     assert trace.chosen == (0, 3)
 
 
+def test_utilitarian_equal_spreads_tie_on_lowest_id():
+    # Once the edge 0-1 in community 1 (size 5) is covered, every
+    # isolated vertex adds one influenced vertex: vertex 2 in community 1,
+    # vertex 3 in community 0 (size 2).  Summed per community in floats,
+    # 5 * (3/5 - 2/5) = 0.9999999999999998 but 2 * (1/2 - 0/2) = 1.0, so
+    # only a gain taken from the integer spread ties them on vertex 2.
+    g = Graph(n=7, edges=((0, 1),), p=1.0)
+    part = CommunityPartition(labels=(1, 1, 1, 0, 0, 1, 1))
+    sk = sample_sketches(g, 4, 0)
+    _, trace = greedy_utilitarian(sk, part, 2)
+    assert trace.chosen == (0, 2)
+    assert trace.objective_after_each == (2.0, 3.0)
+    _, naive = naive_greedy(sk, part, 2, TotalObjective(sk.R))
+    assert naive.chosen == trace.chosen
+
+
 def test_utilitarian_picks_star_center():
     edges = tuple((0, v) for v in range(1, 8))
     g = Graph(n=10, edges=edges, p=0.5)
@@ -108,8 +126,12 @@ def test_objective_gain_consistent_with_value():
     rng = np.random.default_rng(1)
     for obj in (
         TotalObjective(sk.R),
-        WelfareObjective(part, sk.R, default_params(-2.0, g.n)),
-        WelfareObjective(part, sk.R, default_params(0.0, g.n)),
+        welfare_objective(part, sk.R, default_params(-2.0, g.n)),
+        welfare_objective(part, sk.R, default_params(0.0, g.n)),
+        truncated_objective(part, sk.R, 0.3),
+        truncated_objective(part, sk.R, 1.0),
+        dc_objective(part, sk.R, DcBounds(bounds=(0.4, 0.2), budgets=(1, 1), k=2)),
+        dc_objective(part, sk.R, DcBounds(bounds=(0.0, 0.2), budgets=(0, 1), k=2)),
     ):
         state = sk.coverage_state(part)
         acc = 0.0
@@ -117,6 +139,24 @@ def test_objective_gain_consistent_with_value():
             acc += obj.gain(state.counts, state.gain_counts(int(v)))
             state.add(int(v))
         assert acc == pytest.approx(obj.value(state.counts), rel=1e-9, abs=1e-9)
+
+
+def test_welfare_objective_value_is_welfare_minus_floor():
+    g, part = _instance(4, sizes=(25, 15, 10))
+    sk = sample_sketches(g, 100, 4)
+    floor = UtilityVector(values=(0.0,) * 3, sizes=part.sizes)
+    rng = np.random.default_rng(3)
+    for alpha in (-5.0, -2.0, 0.0, 0.5):
+        params = default_params(alpha, g.n)
+        obj = welfare_objective(part, sk.R, params)
+        for size in (1, 3, 8):
+            seeds = SeedSet(frozenset(int(v) for v in rng.permutation(g.n)[:size]), size)
+            state = sk.coverage_state(part)
+            for v in seeds.sorted():
+                state.add(v)
+            u = estimate_utilities(sk, seeds, part)
+            expected = welfare(u, params) - welfare(floor, params)
+            assert obj.value(state.counts) == pytest.approx(expected, rel=1e-9)
 
 
 def test_saturate_maximin_beats_utilitarian_minimum():
@@ -236,7 +276,7 @@ def test_submodularity_spot_check():
     rng = np.random.default_rng(42)
     g, part = _instance(9, sizes=(20, 20))
     sk = sample_sketches(g, 100, 9)
-    obj = WelfareObjective(part, sk.R, default_params(-2.0, g.n))
+    obj = welfare_objective(part, sk.R, default_params(-2.0, g.n))
     for _ in range(50):
         perm = rng.permutation(g.n)
         a_size = int(rng.integers(0, 4))
