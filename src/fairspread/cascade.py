@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +25,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
+
+# Bytes per temporary when the greedy tables are summed in chunks.
+_CHUNK_BYTES = 1 << 20
 
 # Reach masks of the exact oracle hold one bit per edge endpoint in a
 # uint64, so 2 * EXACT_COIN_LIMIT <= 64 must hold.
@@ -123,6 +127,14 @@ class UndirectedSketchSet:
 
 
 class _UndirectedEvaluator:
+    """Community counts of the components of one sketch set under one partition.
+
+    ``comp_comm[i, c]`` counts community c's members of component i.
+    The greedy tables (``reach_counts`` and the member index) are built
+    on first use, so an evaluator that only estimates utilities never
+    pays for them.
+    """
+
     def __init__(self, sk: UndirectedSketchSet, part: CommunityPartition):
         if len(part.labels) != sk.graph.n:
             raise GraphFormatError("community partition does not match sketch graph")
@@ -135,6 +147,43 @@ class _UndirectedEvaluator:
         np.add.at(comp_comm, (flat, np.tile(labels, sk.R)), 1)
         self.comp_comm = comp_comm
 
+    @cached_property
+    def reach_counts(self) -> np.ndarray:
+        """(n, C) counts G[v] = sum_r comp_comm[comp[r, v]] from the empty set."""
+        comp, C, n = self.sk.comp, self.part.num_communities, self.sk.graph.n
+        G = np.zeros((n, C), dtype=np.int64)
+        step = max(1, _CHUNK_BYTES // (8 * n * C))  # sketches per int64 (step, n, C) block
+        for r in range(0, self.sk.R, step):
+            G += self.comp_comm[comp[r : r + step]].sum(axis=0)
+        return G
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, members): the vertices of component i with two or more
+        members are ``members[starts[i]:starts[i + 1]]``; a singleton's
+        range is empty.
+
+        A component lies in one sketch, so the members are placed in
+        chunks of sketches, which bounds the temporaries.
+        """
+        sk, n = self.sk, self.sk.graph.n
+        size = np.bincount(sk.comp.ravel(), minlength=sk.num_comps)
+        size[size < 2] = 0
+        index = np.int32 if sk.R * n < 2**31 else np.int64
+        starts = np.zeros(sk.num_comps + 1, dtype=index)
+        np.cumsum(size, out=starts[1:])
+        del size
+        members = np.empty(starts[-1], dtype=np.int32)
+        step = max(1, _CHUNK_BYTES // (8 * n))
+        for r in range(0, sk.R, step):
+            labels = sk.comp[r : r + step].ravel()
+            at = np.flatnonzero(starts[labels + 1] > starts[labels])
+            at = at[np.argsort(labels[at])]
+            comps = labels[at]
+            rank = np.arange(len(at)) - np.searchsorted(comps, comps)
+            members[starts[comps] + rank] = at % n
+        return starts, members
+
     def coverage_counts(self, seeds) -> np.ndarray:
         """Influenced counts per community summed over all sketches."""
         seeds = sorted(seeds)
@@ -146,23 +195,42 @@ class _UndirectedEvaluator:
 
 
 class UndirectedCoverageState:
-    """Incrementally tracked coverage of a growing seed set."""
+    """Incrementally tracked coverage of a growing seed set.
+
+    ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
+    that u would newly cover: ``gain_counts(u)`` for every vertex not
+    yet added.  ``add`` keeps it current by subtracting each newly
+    covered component's counts from its members' rows.  A singleton is
+    covered only by its own vertex, which is never a candidate again,
+    so rows of added vertices may go stale.
+    """
 
     def __init__(self, ev: _UndirectedEvaluator):
         self.sk = ev.sk
         self.ev = ev
         self.covered = np.zeros(ev.sk.num_comps, dtype=bool)
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
+        self.uncovered = ev.reach_counts.copy()
 
     def gain_counts(self, v: int) -> np.ndarray:
+        """Counts v would add, recomputed from the covered flags."""
         cols = self.sk.comp[:, v]
         new = cols[~self.covered[cols]]
         return self.ev.comp_comm[new].sum(axis=0)
 
     def add(self, v: int) -> np.ndarray:
-        delta = self.gain_counts(v)
-        self.covered[self.sk.comp[:, v]] = True
+        cols = self.sk.comp[:, v]
+        new = cols[~self.covered[cols]]
+        delta = self.ev.comp_comm[new].sum(axis=0)
+        self.covered[cols] = True
         self.counts += delta
+        starts, members = self.ev.members
+        multi = new[starts[new + 1] > starts[new]]
+        if len(multi):
+            lo, sizes = starts[multi], starts[multi + 1] - starts[multi]
+            first = np.cumsum(sizes) - sizes  # where each component's members begin in rows
+            rows = members[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
+            np.subtract.at(self.uncovered, rows, np.repeat(self.ev.comp_comm[multi], sizes, axis=0))
         return delta
 
 
@@ -177,6 +245,7 @@ class DirectedSketchSet:
         self.master_seed = master_seed
         self.edge_masks = _sketch_masks(len(graph.edges), graph.p, R, master_seed)
         self._closure = None
+        self._reach_counts: dict[CommunityPartition, np.ndarray] = {}
 
     @property
     def closure(self) -> np.ndarray:
@@ -191,29 +260,65 @@ class DirectedSketchSet:
             self._closure = _live_reach(self, singletons, backward=True).transpose(0, 2, 1)
         return self._closure
 
+    def reach_counts(self, part: CommunityPartition) -> np.ndarray:
+        """(n, C) counts of the (sketch, vertex) pairs in each community that v reaches.
+
+        Summed over chunks of sketches, so that the community-column
+        copies of the closure stay small; cached per partition.
+        """
+        if part not in self._reach_counts:
+            if len(part.labels) != self.graph.n:
+                raise GraphFormatError("community partition does not match sketch graph")
+            n, closure = self.graph.n, self.closure
+            labels = np.asarray(part.labels, dtype=np.int64)
+            G = np.zeros((n, part.num_communities), dtype=np.int64)
+            step = max(1, _CHUNK_BYTES // (n * n))
+            for r in range(0, self.R, step):
+                block = closure[r : r + step]
+                for c in range(part.num_communities):
+                    G[:, c] += block[:, :, labels == c].sum(axis=(0, 2))
+            self._reach_counts[part] = G
+        return self._reach_counts[part]
+
     def coverage_state(self, part: CommunityPartition) -> "DirectedCoverageState":
         return DirectedCoverageState(self, part)
 
 
 class DirectedCoverageState:
+    """Coverage of a growing seed set as (sketch, vertex) flags.
+
+    ``uncovered[u]`` equals ``gain_counts(u)`` for every vertex not yet
+    added.  ``add`` subtracts each newly covered pair once from the rows
+    of the vertices that reach it, so a whole run reads each closure
+    entry at most once.
+    """
+
     def __init__(self, sk: DirectedSketchSet, part: CommunityPartition):
-        if len(part.labels) != sk.graph.n:
-            raise GraphFormatError("community partition does not match sketch graph")
         self.sk = sk
         self.part = part
-        labels = np.asarray(part.labels, dtype=np.int64)
-        self.comm_cols = [np.flatnonzero(labels == c) for c in range(part.num_communities)]
+        self.uncovered = sk.reach_counts(part).copy()
+        self.labels = np.asarray(part.labels, dtype=np.int64)
+        self.comm_cols = [np.flatnonzero(self.labels == c) for c in range(part.num_communities)]
         self.covered = np.zeros((sk.R, sk.graph.n), dtype=bool)
         self.counts = np.zeros(part.num_communities, dtype=np.int64)
 
     def gain_counts(self, v: int) -> np.ndarray:
+        """Counts v would add, recomputed from the covered flags."""
         new = self.sk.closure[:, v, :] & ~self.covered
         return np.array([new[:, cols].sum() for cols in self.comm_cols], dtype=np.int64)
 
     def add(self, v: int) -> np.ndarray:
-        delta = self.gain_counts(v)
-        self.covered |= self.sk.closure[:, v, :]
+        row = self.sk.closure[:, v, :]
+        r_idx, w_idx = np.nonzero(row & ~self.covered)
+        comm = self.labels[w_idx]
+        delta = np.bincount(comm, minlength=self.part.num_communities)
+        self.covered |= row
         self.counts += delta
+        step = max(1, _CHUNK_BYTES // self.sk.graph.n)
+        for i in range(0, len(r_idx), step):
+            reached_by = self.sk.closure[r_idx[i : i + step], :, w_idx[i : i + step]]
+            for c in range(self.part.num_communities):
+                self.uncovered[:, c] -= reached_by[comm[i : i + step] == c].sum(axis=0)
         return delta
 
 

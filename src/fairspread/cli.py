@@ -103,6 +103,13 @@ _SWEEP_FIELDS = (
 )
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: lists space-joined; str of a float is its shortest repr."""
+    if isinstance(value, list):
+        return " ".join(_csv_cell(v) for v in value)
+    return str(value)
+
+
 def _selection_report(args, part, seeds, u, extra: dict | None = None) -> str:
     values = u.as_floats()
     gap = float(utility_gap(u))
@@ -118,10 +125,11 @@ def _selection_report(args, part, seeds, u, extra: dict | None = None) -> str:
     if args.format == "json":
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.format == "csv":
+        extra = extra or {}
         header = ["seeds", "total", "gap"] + [f"u_{c}" for c in range(len(values))]
-        row = [" ".join(map(str, sorted(seeds))), repr(total), repr(gap)] + [
-            repr(v) for v in values
-        ]
+        row = [_csv_cell(sorted(seeds)), repr(total), repr(gap)] + [repr(v) for v in values]
+        header += list(extra)
+        row += [_csv_cell(v) for v in extra.values()]
         return ",".join(header) + "\n" + ",".join(row) + "\n"
     lines = [f"seeds: {sorted(seeds)}"]
     for key, val in doc.items():

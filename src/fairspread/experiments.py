@@ -73,6 +73,8 @@ class ResultRow:
     total: float
     gap: float
     pof: float
+    gamma: float | None = None  # maximin rows: SATURATE's final gamma
+    dc_feasible: float | None = None  # dc rows: 1.0 if every DC bound was met, else 0.0
 
 
 def _method_rows(g, part, sk, k, alphas, baselines, dc_seed):
@@ -82,7 +84,7 @@ def _method_rows(g, part, sk, k, alphas, baselines, dc_seed):
     u_util = estimate_utilities(sk, util_seeds, part)
     im_total = total_influence(u_util)
 
-    def emit(method, alpha, u):
+    def emit(method, alpha, u, gamma=None, dc_feasible=None):
         rows.append(
             (
                 method,
@@ -91,6 +93,8 @@ def _method_rows(g, part, sk, k, alphas, baselines, dc_seed):
                 float(total_influence(u)),
                 float(utility_gap(u)),
                 pof(total_influence(u), im_total) if im_total > 0 else 0.0,
+                gamma,
+                dc_feasible,
             )
         )
 
@@ -100,12 +104,12 @@ def _method_rows(g, part, sk, k, alphas, baselines, dc_seed):
         seeds, _ = greedy_welfare(sk, part, k, default_params(alpha, g.n))
         emit("welfare", alpha, estimate_utilities(sk, seeds, part))
     if "maximin" in baselines:
-        seeds, _ = saturate_maximin(sk, part, k)
-        emit("maximin", None, estimate_utilities(sk, seeds, part))
+        seeds, gamma = saturate_maximin(sk, part, k)
+        emit("maximin", None, estimate_utilities(sk, seeds, part), gamma=gamma)
     if "dc" in baselines:
         bounds = dc_lower_bounds(g, part, k, sk.R, dc_seed)
-        seeds, _feasible = saturate_dc(sk, part, k, bounds)
-        emit("dc", None, estimate_utilities(sk, seeds, part))
+        seeds, feasible = saturate_dc(sk, part, k, bounds)
+        emit("dc", None, estimate_utilities(sk, seeds, part), dc_feasible=float(feasible))
     return rows
 
 
@@ -120,7 +124,7 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
             g, part = cfg.graph, cfg.partition
         sk = sample_sketches(g, cfg.R, seed_key)
         for k in cfg.budgets:
-            for method, alpha, u, total, gap, row_pof in _method_rows(
+            for method, alpha, u, total, gap, row_pof, gamma, dc_feasible in _method_rows(
                 g, part, sk, k, cfg.alphas, cfg.baselines, (*seed_key, 1)
             ):
                 rows.append(
@@ -134,6 +138,8 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
                         total=total,
                         gap=gap,
                         pof=row_pof,
+                        gamma=gamma,
+                        dc_feasible=dc_feasible,
                     )
                 )
     rows.extend(_aggregate(rows))
@@ -141,7 +147,11 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
 
 
 def _aggregate(rows: list[ResultRow]) -> list[ResultRow]:
-    """Mean and population-std rows per (instance, method, alpha, k)."""
+    """Mean and population-std rows per (instance, method, alpha, k).
+
+    gamma and dc_feasible aggregate like the other columns where the
+    method has them and stay empty where it does not.
+    """
     groups: dict[tuple, list[ResultRow]] = {}
     for r in rows:
         if not r.replication.isdigit():
@@ -164,9 +174,15 @@ def _aggregate(rows: list[ResultRow]) -> list[ResultRow]:
                     total=stat([m.total for m in members]),
                     gap=stat([m.gap for m in members]),
                     pof=stat([m.pof for m in members]),
+                    gamma=_stat_or_none(stat, [m.gamma for m in members]),
+                    dc_feasible=_stat_or_none(stat, [m.dc_feasible for m in members]),
                 )
             )
     return out
+
+
+def _stat_or_none(stat, values):
+    return None if None in values else stat(values)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -235,6 +251,7 @@ def csv_header(num_communities: int) -> list[str]:
     return (
         ["instance", "replication", "method", "k", "alpha", "gap", "pof", "total"]
         + [f"u_{c}" for c in range(num_communities)]
+        + ["gamma", "dc_feasible"]
     )
 
 
@@ -260,6 +277,7 @@ def rows_to_csv(rows: list[ResultRow], path) -> None:
                     repr(r.total),
                 ]
                 + [repr(u) for u in r.utilities]
+                + ["" if x is None else repr(x) for x in (r.gamma, r.dc_feasible)]
             )
 
 

@@ -44,6 +44,10 @@ EXHAUSTIVE_LIMIT = 2_000_000
 
 @dataclass(frozen=True)
 class SelectionTrace:
+    """A greedy run: the picks, the objective after each, and the number
+    of candidate gains computed (for block gains, the rows of vertices
+    not yet chosen)."""
+
     chosen: tuple[int, ...]
     objective_after_each: tuple[float, ...]
     evaluations: int
@@ -85,17 +89,28 @@ class TotalObjective:
     def value(self, counts):
         return float(counts.sum()) / self.R
 
+    def gains(self, counts, D):
+        """Gains of the rows of the (m, C) block D of added counts."""
+        return D.sum(axis=1).astype(np.float64) / self.R
+
     def gain(self, counts, delta):
-        return float(delta.sum()) / self.R
+        return float(self.gains(counts, delta[None])[0])
 
 
 class _Objective:
     """Separable objective sum_c w_c (f(u_c) - f(0)) over active communities.
 
     u_c = counts_c / (R n_c) is community c's sketch utility; f acts
-    elementwise.  Gains apply f, then the mask, then the weights: CELF
-    splits exact ties by float rounding, so this order is part of what
-    the selectors pick.
+    elementwise.  Gains apply f, then the mask, then the weights, and
+    sum each row over communities: CELF splits exact ties by float
+    rounding, so this order is part of what the selectors pick.  Masked
+    terms enter the sum as exact zeros (never as products with a 0/1
+    mask, since inf - inf at very negative alpha would give nan), so a
+    row sums the same floats in the same order as its active
+    communities alone.  Below 8 communities numpy adds a row left to
+    right, so the zeros change nothing; from 8 on its pairwise
+    summation groups the terms by position, so the last bit of a gain
+    can depend on where the masked zeros sit.
     """
 
     def __init__(self, part: CommunityPartition, R: int, f, weights=None, active=None):
@@ -110,12 +125,14 @@ class _Objective:
         terms = self.weights * (self.f(counts / self.scale) - self.base)
         return float(np.sum(terms[self.active]))
 
+    def gains(self, counts, D):
+        """Gains of the rows of the (m, C) block D of added counts."""
+        mask = (D > 0) & self.active
+        terms = self.f((counts + D) / self.scale) - self.f(counts / self.scale)
+        return np.where(mask, self.weights * terms, 0.0).sum(axis=1)
+
     def gain(self, counts, delta):
-        mask = (delta > 0) & self.active
-        if not mask.any():
-            return 0.0
-        terms = self.f((counts + delta) / self.scale) - self.f(counts / self.scale)
-        return float(np.sum(self.weights[mask] * terms[mask]))
+        return float(self.gains(counts, delta[None])[0])
 
 
 def welfare_objective(part: CommunityPartition, R: int, params: WelfareParams) -> _Objective:
@@ -145,39 +162,48 @@ def dc_objective(part: CommunityPartition, R: int, bounds: DcBounds) -> _Objecti
 def _greedy_run(state, budget, objective, chosen, trace_vals, early_stop=None):
     """CELF lazy greedy continuing from an existing coverage state.
 
-    Submodularity makes cached gains upper bounds, so an entry computed
-    at the current step is safe to select.  Equal float gains break on
-    lowest vertex id.  Gains that tie exactly are split by float
-    rounding, and a cached gain can round below its vertex's fresh
-    gain, so on exact ties the sequence can differ from naive greedy's.
+    Every gain comes from one block: ``objective.gains`` over the
+    state's ``uncovered`` rows, computed for the first heap and then
+    once per later pick, at its first pop (every entry is stale by
+    then).  Each stale entry is re-pushed with its fresh gain from
+    that block, so the picks are those of the scalar CELF loop, which
+    evaluated one candidate per stale pop.  Submodularity makes cached
+    gains upper bounds, so an entry computed at the current step is
+    safe to select; equal float gains break on lowest vertex id.
+    Gains that tie exactly are split by float rounding, and a cached
+    gain can round below its vertex's fresh gain, so on exact ties the
+    sequence can differ from naive greedy's.  Returns the number of
+    candidate gains computed: the block rows of unchosen vertices.
     """
     n = state.sk.graph.n
     taken = set(chosen)
-    evaluations = 0
-    heap = []
     step = len(chosen)
-    for v in range(n):
-        if v in taken:
-            continue
-        g = objective.gain(state.counts, state.gain_counts(v))
-        evaluations += 1
-        heap.append((-g, v, step))
+    gains = objective.gains(state.counts, state.uncovered).tolist()
+    heap = [(-g, v, step) for v, g in enumerate(gains) if v not in taken]
+    evaluations = len(heap)
     heapq.heapify(heap)
     cur = trace_vals[-1] if trace_vals else 0.0
-    while len(chosen) < budget and heap:
-        if early_stop is not None and objective.value(state.counts) >= early_stop:
-            break
+    fresh = None
+
+    def stop():
+        return early_stop is not None and objective.value(state.counts) >= early_stop
+
+    done = stop()
+    while not done and len(chosen) < budget and heap:
         neg_g, v, stamp = heapq.heappop(heap)
         if stamp != step:
-            g = objective.gain(state.counts, state.gain_counts(v))
-            evaluations += 1
-            heapq.heappush(heap, (-g, v, step))
+            if fresh is None:
+                fresh = objective.gains(state.counts, state.uncovered).tolist()
+                evaluations += n - len(chosen)
+            heapq.heappush(heap, (-fresh[v], v, step))
             continue
         state.add(v)
         chosen.append(v)
         cur += -neg_g
         trace_vals.append(cur)
         step += 1
+        fresh = None
+        done = stop()
     return evaluations
 
 

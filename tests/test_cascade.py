@@ -106,6 +106,27 @@ def test_gain_counts_match_add_delta():
             assert np.array_equal(predicted, delta)
 
 
+def test_uncovered_rows_track_gain_counts():
+    # p = 0.25 leaves both singleton and multi-vertex components in the
+    # undirected sketches; the directed graph adds reversed arcs.
+    g, part = generate_sbm(SbmSpec((15, 15, 10), (0.2, 0.2, 0.3), 0.04), rng_seed=3)
+    reversed_half = tuple((v, u) for u, v in g.edges[::2])
+    dg = Graph(n=g.n, edges=g.edges + reversed_half, directed=True, p=g.p)
+    undirected = sample_sketches(g, 40, 2)
+    sizes = np.bincount(undirected.comp.ravel())
+    assert (sizes == 1).any() and (sizes >= 2).any()
+    for sk in (undirected, sample_sketches(dg, 40, 2)):
+        state = sk.coverage_state(part)
+        chosen = []
+        for v in [None, *np.random.default_rng(5).permutation(g.n)[:12]]:
+            if v is not None:
+                state.add(int(v))
+                chosen.append(int(v))
+            for u in range(g.n):
+                if u not in chosen:
+                    assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
+
+
 def test_directed_state_matches_bruteforce_reachability():
     g = Graph(
         n=5, edges=((0, 1), (1, 2), (3, 2), (2, 4)), directed=True, p=0.6

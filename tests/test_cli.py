@@ -91,6 +91,26 @@ def test_select_deterministic_output_files(graph_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_select_csv_keeps_method_outputs(graph_file, capsys):
+    expected = {"maximin": ["gamma"], "dc": ["dc_bounds", "dc_feasible"]}
+    for method, keys in expected.items():
+        argv = ["select", "--graph", str(graph_file), "--k", "2", "--method", method,
+                "--sketches", "100", "--seed", "3"]
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        cells = dict(zip(header, row))
+        assert header[-len(keys):] == keys
+        assert cells["seeds"] == " ".join(map(str, doc["seeds"]))
+        for key in keys:
+            value = doc[key]
+            if isinstance(value, list):
+                assert [float(x) for x in cells[key].split(" ")] == value
+            else:
+                assert cells[key] == str(value)
+
+
 def test_exact_seed_utilities(graph_file, capsys):
     rc = main(["exact", "--graph", str(graph_file), "4", "--format", "json"])
     assert rc == 0

@@ -132,14 +132,36 @@ def test_csv_round_trip(tmp_path):
         table = list(csv.reader(fh))
     assert table[0] == [
         "instance", "replication", "method", "k", "alpha", "gap", "pof",
-        "total", "u_0", "u_1", "u_2",
+        "total", "u_0", "u_1", "u_2", "gamma", "dc_feasible",
     ]
     assert len(table) == 1 + len(rows)
     # float round-trip through repr is lossless
     first = next(r for r in rows if r.replication == "0")
     data_row = table[1 + rows.index(first)]
     assert float(data_row[5]) == first.gap
-    assert [float(x) for x in data_row[8:]] == list(first.utilities)
+    assert [float(x) for x in data_row[8:11]] == list(first.utilities)
+    assert data_row[11:] == ["", ""]  # utilitarian rows have neither column
+
+
+def test_sweep_keeps_gamma_and_dc_feasibility(tmp_path):
+    rows = run_sweep(_small_cfg(baselines=("utilitarian", "maximin", "dc"), replications=1))
+    path = tmp_path / "out.csv"
+    rows_to_csv(rows, path)
+    with open(path) as fh:
+        header, *body = csv.reader(fh)
+    table = [dict(zip(header, r)) for r in body]
+    for r, cells in zip(rows, table):
+        assert (cells["gamma"] != "") == (r.method == "maximin")
+        assert (cells["dc_feasible"] != "") == (r.method == "dc")
+        if r.method == "maximin":
+            assert 0.0 <= float(cells["gamma"]) <= 1.0
+        if r.method == "dc":
+            assert cells["dc_feasible"] in ("1.0", "0.0")
+    # one replication: the mean row repeats it and the std row is 0
+    for method, column in (("maximin", "gamma"), ("dc", "dc_feasible")):
+        by_rep = {c["replication"]: c[column] for c in table if c["method"] == method}
+        assert by_rep["mean"] == by_rep["0"]
+        assert float(by_rep["std"]) == 0.0
 
 
 def test_csv_rejects_mixed_community_counts(tmp_path):

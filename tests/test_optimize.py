@@ -1,5 +1,7 @@
 """Selector tests: greedy, SATURATE baselines and the exhaustive oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,11 @@ def test_budget_validation():
 
 
 def test_lazy_greedy_equals_naive_greedy():
-    for seed in range(4):
-        g, part = _instance(seed)
+    # The last instance has 9 communities: from 8 on, numpy sums a
+    # block row pairwise rather than left to right.
+    instances = [(seed, _instance(seed)) for seed in range(4)]
+    instances.append((4, _instance(4, sizes=(8,) * 9, q=0.3, between=0.02)))
+    for seed, (g, part) in instances:
         sk = sample_sketches(g, 150, seed + 100)
         for alpha in (-5.0, 0.0, 0.5):
             obj = welfare_objective(part, sk.R, default_params(alpha, g.n))
@@ -139,6 +144,51 @@ def test_objective_gain_consistent_with_value():
             acc += obj.gain(state.counts, state.gain_counts(int(v)))
             state.add(int(v))
         assert acc == pytest.approx(obj.value(state.counts), rel=1e-9, abs=1e-9)
+
+
+def _loop_gain(counts, d, R, sizes, f, weights, active):
+    """Reference gain: a pure-Python sum over the active communities d adds to."""
+    total = 0.0
+    for c, n_c in enumerate(sizes):
+        if d[c] > 0 and active[c]:
+            u_before, u_after = counts[c] / (R * n_c), (counts[c] + d[c]) / (R * n_c)
+            total += weights[c] * (f(c, u_after) - f(c, u_before))
+    return total
+
+
+def test_block_gains_match_per_community_loop():
+    g, part = _instance(6, sizes=(20, 15, 10))
+    sk = sample_sketches(g, 80, 6)
+    R, sizes = sk.R, part.sizes
+    state = sk.coverage_state(part)
+    for v in (0, 21, 40):
+        state.add(v)
+    D = np.vstack([state.uncovered, [[0, 0, 0], [5, 0, 0], [0, 0, 7]]])
+    bounds = DcBounds(bounds=(0.0, 0.3, 0.2), budgets=(0, 1, 1), k=3)
+    ones, every = (1.0,) * 3, (True,) * 3
+    cases = []
+    for alpha in (-20.0, -2.0, 0.0, 0.9):
+        params = default_params(alpha, g.n)
+
+        def f(c, u, a=alpha, eps=params.epsilon):
+            x = max(u, eps)
+            return math.log(x) if a == 0 else x**a / a
+
+        cases.append((welfare_objective(part, R, params), f, sizes, every))
+    cases.append((truncated_objective(part, R, 0.3), lambda c, u: min(u, 0.3), ones, every))
+    cases.append((dc_objective(part, R, bounds),
+                  lambda c, u: min(u / bounds.bounds[c], 1.0), ones, (False, True, True)))
+    for obj, f, weights, active in cases:
+        got = obj.gains(state.counts, D)
+        for d, gain in zip(D, got):
+            expected = _loop_gain(state.counts, d, R, sizes, f, weights, active)
+            assert gain == pytest.approx(expected, rel=1e-12, abs=0.0)
+            if not any(x > 0 and a for x, a in zip(d, active)):
+                assert gain == 0.0
+        assert obj.gain(state.counts, D[1]) == got[1]
+    total = TotalObjective(R).gains(state.counts, D)
+    assert list(total) == [sum(int(x) for x in d) / R for d in D]
+    assert total[-3] == 0.0
 
 
 def test_welfare_objective_value_is_welfare_minus_floor():
