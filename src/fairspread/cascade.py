@@ -96,24 +96,22 @@ class UndirectedSketchSet:
         self.graph = graph
         self.R = R
         self.master_seed = master_seed
-        m = len(graph.edges)
-        self.edge_masks = _sketch_masks(m, graph.p, R, master_seed)
+        self.edge_masks = _sketch_masks(len(graph.edges), graph.p, R, master_seed)
         n = graph.n
-        if m:
-            src = np.array([e[0] for e in graph.edges], dtype=np.int64)
-            dst = np.array([e[1] for e in graph.edges], dtype=np.int64)
-            offs = np.repeat(np.arange(R, dtype=np.int64) * n, m).reshape(R, m)
-            keep = self.edge_masks
-            rows = (src[None, :] + offs)[keep]
-            cols = (dst[None, :] + offs)[keep]
-            big = sp.coo_matrix(
-                (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(R * n, R * n)
-            )
-            ncomp, labels = connected_components(big, directed=False)
-        else:
-            ncomp, labels = R * n, np.arange(R * n, dtype=np.int64)
+        index = np.int32 if R * n < 2**31 else np.int64
+        # Sketch r's vertex v is vertex r * n + v of one graph of the live edges;
+        # float64 weights, connected_components' dtype, spare it a copy.
+        src, dst = np.array(graph.edges, dtype=index).reshape(-1, 2).T
+        r, a = np.nonzero(self.edge_masks)
+        r = r.astype(index) * n
+        rows = r + src[a]
+        r += dst[a]
+        del a
+        big = sp.csr_matrix((np.ones(len(rows)), (rows, r)), shape=(R * n, R * n))
+        del rows, r
+        ncomp, labels = connected_components(big, directed=False)
         self.num_comps = int(ncomp)
-        self.comp = labels.reshape(R, n).astype(np.int64)
+        self.comp = labels.reshape(R, n)
         self._evaluators: dict[CommunityPartition, "_UndirectedEvaluator"] = {}
 
     def evaluator(self, part: CommunityPartition) -> "_UndirectedEvaluator":
@@ -140,12 +138,10 @@ class _UndirectedEvaluator:
             raise GraphFormatError("community partition does not match sketch graph")
         self.sk = sk
         self.part = part
-        labels = np.asarray(part.labels, dtype=np.int64)
         C = part.num_communities
-        comp_comm = np.zeros((sk.num_comps, C), dtype=np.int64)
-        flat = sk.comp.ravel()
-        np.add.at(comp_comm, (flat, np.tile(labels, sk.R)), 1)
-        self.comp_comm = comp_comm
+        key = np.multiply(sk.comp, C, dtype=np.int64)
+        key += np.asarray(part.labels, dtype=np.int64)
+        self.comp_comm = np.bincount(key.ravel(), minlength=sk.num_comps * C).reshape(-1, C)
 
     @cached_property
     def reach_counts(self) -> np.ndarray:
@@ -163,25 +159,28 @@ class _UndirectedEvaluator:
         members are ``members[starts[i]:starts[i + 1]]``; a singleton's
         range is empty.
 
-        A component lies in one sketch, so the members are placed in
-        chunks of sketches, which bounds the temporaries.
+        Components lie in one sketch and are numbered by smallest vertex,
+        so a chunk of sketches holds one label range, whose members a
+        counting sort (COO to CSR) groups with bounded temporaries.
         """
         sk, n = self.sk, self.sk.graph.n
         size = np.bincount(sk.comp.ravel(), minlength=sk.num_comps)
-        size[size < 2] = 0
-        index = np.int32 if sk.R * n < 2**31 else np.int64
-        starts = np.zeros(sk.num_comps + 1, dtype=index)
-        np.cumsum(size, out=starts[1:])
+        multi = size >= 2
+        starts = np.zeros(sk.num_comps + 1, dtype=sk.comp.dtype)  # at most R * n members
+        np.cumsum(np.where(multi, size, 0), out=starts[1:])
         del size
         members = np.empty(starts[-1], dtype=np.int32)
         step = max(1, _CHUNK_BYTES // (8 * n))
+        vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (step, n))
         for r in range(0, sk.R, step):
-            labels = sk.comp[r : r + step].ravel()
-            at = np.flatnonzero(starts[labels + 1] > starts[labels])
-            at = at[np.argsort(labels[at])]
-            comps = labels[at]
-            rank = np.arange(len(at)) - np.searchsorted(comps, comps)
-            members[starts[comps] + rank] = at % n
+            labels = sk.comp[r : r + step]
+            lo, hi = labels[0, 0], labels[-1].max() + 1
+            keep = multi[labels]
+            v = vertex[: len(labels)][keep]
+            chunk = sp.csr_matrix(
+                (np.ones(len(v), dtype=np.int8), (labels[keep] - lo, v)), shape=(hi - lo, n)
+            )
+            members[starts[lo] : starts[hi]] = chunk.indices
         return starts, members
 
     def coverage_counts(self, seeds) -> np.ndarray:
@@ -230,7 +229,10 @@ class UndirectedCoverageState:
             lo, sizes = starts[multi], starts[multi + 1] - starts[multi]
             first = np.cumsum(sizes) - sizes  # where each component's members begin in rows
             rows = members[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
-            np.subtract.at(self.uncovered, rows, np.repeat(self.ev.comp_comm[multi], sizes, axis=0))
+            # Float sums of counts of at most R * n < 2**53 are exact.
+            for c, counts in enumerate(self.ev.comp_comm[multi].T.astype(np.float64)):
+                dec = np.bincount(rows, np.repeat(counts, sizes), minlength=len(self.uncovered))
+                self.uncovered[:, c] -= dec.astype(np.int64)
         return delta
 
 

@@ -41,6 +41,7 @@ from .graph import (
     save_graph,
 )
 from .optimize import (
+    check_budget,
     dc_lower_bounds,
     exhaustive_opt,
     greedy_utilitarian,
@@ -85,6 +86,17 @@ def _seed_token(tok: str) -> list[int]:
         return [int(piece) for piece in tok.split(",") if piece]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed token {tok!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """A count argument: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _parse_seeds(tokens: list[list[int]]) -> list[int]:
@@ -186,6 +198,7 @@ def _cmd_select(args) -> int:
         seeds, extra = SeedSet(frozenset(), 0), {}
         u = UtilityVector((0.0,) * part.num_communities, part.sizes)
     else:
+        check_budget(args.k, g.n)
         sk = sample_sketches(g, args.sketches, args.seed)
         seeds, extra = _select_seeds(g, part, sk, args)
         u = estimate_utilities(sk, seeds, part)
@@ -346,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha", type=float, default=0.0,
                    help="inequality aversion for --method welfare (default: 0)")
-    p.add_argument("--sketches", type=int, default=1000,
+    p.add_argument("--sketches", type=_positive_int, default=1000,
                    help="number of live-edge sketches (default: 1000)")
     p.add_argument("--seed", type=int, default=0, help="sketch seed (default: 0)")
     p.set_defaults(func=_cmd_select)
@@ -354,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a configured experiment sweep")
     p.add_argument("--config", required=True, help="experiment config document (JSON)")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.add_argument("--sketches", type=int, default=None, help="override sketch count")
+    p.add_argument("--sketches", type=_positive_int, default=None, help="override sketch count")
     common(p, graph=False, fmt=False)
     p.set_defaults(func=_cmd_sweep)
 
@@ -384,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="welfare inequality aversion (default: 0)")
     p.add_argument("--delta", type=float, default=None,
                    help="parity threshold to check (default: none)")
-    p.add_argument("--sketches", type=int, default=1000,
+    p.add_argument("--sketches", type=_positive_int, default=1000,
                    help="number of live-edge sketches (default: 1000)")
     p.add_argument("--seed", type=int, default=0, help="sketch seed (default: 0)")
     p.set_defaults(func=_cmd_metrics)

@@ -207,11 +207,16 @@ def _greedy_run(state, budget, objective, chosen, trace_vals, early_stop=None):
     return evaluations
 
 
-def _lazy_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
+def check_budget(k: int, n: int) -> None:
+    """Raise InfeasibleError unless 1 <= k <= n."""
     if k < 1:
         raise InfeasibleError("budget must be >= 1")
-    if k > sk.graph.n:
-        raise InfeasibleError(f"budget {k} exceeds vertex count {sk.graph.n}")
+    if k > n:
+        raise InfeasibleError(f"budget {k} exceeds vertex count {n}")
+
+
+def _lazy_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
+    check_budget(k, sk.graph.n)
     state = sk.coverage_state(part)
     chosen: list[int] = []
     trace_vals: list[float] = []

@@ -1,10 +1,12 @@
 """Diffusion, sketch estimation and exact oracle tests."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fairspread import cascade
 from fairspread.cascade import (
     DirectedSketchSet,
     UndirectedSketchSet,
@@ -125,6 +127,89 @@ def test_uncovered_rows_track_gain_counts():
             for u in range(g.n):
                 if u not in chosen:
                     assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
+
+
+def _live_components(g, keep):
+    """Vertex sets of the components of undirected g over the edges keep marks live."""
+    adj = [[] for _ in range(g.n)]
+    for (u, v), live in zip(g.edges, keep):
+        if live:
+            adj[u].append(v)
+            adj[v].append(u)
+    comps, seen = set(), set()
+    for v in range(g.n):
+        if v not in seen:
+            comp = frozenset(_dfs(adj, [v]))
+            comps.add(comp)
+            seen |= comp
+    return comps
+
+
+def _random_undirected(rng, n, m, p, span=None):
+    """n vertices, m distinct random edges among the first span vertices."""
+    span = n if span is None else span
+    pairs = [(u, v) for u in range(span) for v in range(u + 1, span)]
+    edges = tuple(pairs[i] for i in rng.choice(len(pairs), size=m, replace=False))
+    return Graph(n=n, edges=edges, p=p)
+
+
+def test_sketch_components_match_per_sketch_search(monkeypatch):
+    rng = np.random.default_rng(23)
+    graphs = [
+        _random_undirected(rng, 40, 50, 0.3),
+        _random_undirected(rng, 30, 60, 0.0),  # no multi-vertex component
+        _random_undirected(rng, 30, 45, 1.0),
+        Graph(n=12, edges=(), p=0.5),
+        _random_undirected(rng, 50, 40, 0.6, span=20),  # 30 isolated vertices
+    ]
+    R = 10
+    for g in graphs:
+        # Three sketches per member chunk, the last chunk partial.
+        monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
+        labels = tuple(int(c) for c in rng.integers(0, 3, g.n - 3)) + (0, 1, 2)
+        part = CommunityPartition(labels=labels)
+        sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
+        ev = sk.evaluator(part)
+        starts, members = ev.members
+        assert len(starts) == sk.num_comps + 1 and starts[0] == 0
+        assert starts[-1] == len(members)
+        if g.p == 0.0 or not g.edges:
+            assert len(members) == 0
+        assert np.unique(sk.comp).tolist() == list(range(sk.num_comps))
+        # No label spans two sketches.
+        assert sum(len(np.unique(row)) for row in sk.comp) == sk.num_comps
+        for r in range(R):
+            found = {}
+            for v, label in enumerate(sk.comp[r]):
+                found.setdefault(int(label), set()).add(v)
+            assert {frozenset(c) for c in found.values()} == _live_components(g, sk.edge_masks[r])
+            for label, comp in found.items():
+                got = members[starts[label] : starts[label + 1]].tolist()
+                if len(comp) == 1:
+                    assert got == [], (r, label)
+                else:
+                    assert sorted(got) == sorted(comp), (r, label)
+        want = np.zeros((sk.num_comps, part.num_communities), dtype=np.int64)
+        np.add.at(want, (sk.comp.ravel(), np.tile(labels, R)), 1)
+        assert np.array_equal(ev.comp_comm, want)
+
+
+def test_sketch_build_allocates_in_live_edges():
+    # Bytes: the (R, m) keep-masks, plus a few words per live edge and per
+    # (sketch, vertex) pair.  An (R, m) int64 temporary alone is 8 * R * m,
+    # about 32 bytes per live edge at p = 0.25, so two of them alone exceed the
+    # bound on this instance (live edges about R * n).
+    g, _ = generate_sbm(SbmSpec((250, 250), (0.03, 0.03), 0.002), rng_seed=4)
+    R = 200
+    tracemalloc.start()
+    try:
+        sk = sample_sketches(g, R, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    live = int(sk.edge_masks.sum())
+    bound = R * len(g.edges) + 32 * live + 16 * R * g.n
+    assert peak < bound, (peak, bound)
 
 
 def test_directed_state_matches_bruteforce_reachability():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fairspread import cli
 from fairspread.cli import main
 
 
@@ -288,6 +289,38 @@ def test_bad_seed_token_is_usage_error(graph_file, capsys, argv):
         main([argv[0], "--graph", str(graph_file), *argv[1:]])
     assert exc.value.code == 2
     assert "invalid seed token" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "metrics", "sweep"])
+@pytest.mark.parametrize("count", ["0", "-3", "x"])
+def test_sketch_count_must_be_positive(capsys, command, count):
+    # The input does not exist, so a count checked only after reading it
+    # would exit 3; a parse-time check exits 2 first.
+    argv = {
+        "select": ["select", "--graph", "missing.json", "--k", "1"],
+        "metrics": ["metrics", "--graph", "missing.json", "0"],
+        "sweep": ["sweep", "--config", "missing.json"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--sketches", count])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--sketches" in err
+    assert ("invalid int value" if count == "x" else "is not a positive integer") in err
+
+
+@pytest.mark.parametrize("method", ["welfare", "utilitarian", "maximin", "dc"])
+@pytest.mark.parametrize(
+    "k, message", [("-1", "budget must be >= 1"), ("11", "budget 11 exceeds vertex count 10")]
+)
+def test_select_checks_budget_before_sampling(graph_file, capsys, monkeypatch, method, k, message):
+    def no_sketches(*args):
+        raise AssertionError("sketches sampled before the budget was checked")
+
+    monkeypatch.setattr(cli, "sample_sketches", no_sketches)
+    rc = main(["select", "--graph", str(graph_file), "--k", k, "--method", method])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_seed_tokens_split_on_commas(graph_file, capsys):
