@@ -56,9 +56,7 @@ class UtilityVector:
 
 def simulate_once(g: Graph, seeds: SeedSet, rng: np.random.Generator) -> set[int]:
     """One IC realization; returns the activated vertex set."""
-    for v in seeds.vertices:
-        if not (0 <= v < g.n):
-            raise GraphFormatError(f"invalid seed id {v}")
+    seeds.check_ids(g.n)
     adj = g.out_neighbors()
     active = set(seeds.vertices)
     frontier = sorted(active)
@@ -83,12 +81,68 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     return masks
 
 
-class UndirectedSketchSet:
-    """Live-edge sketches of an undirected graph, stored as components.
+def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndarray]:
+    """Strongly connected components of every sketch's live arcs.
 
-    Component labels are globally unique across sketches so that
-    coverage bookkeeping is a flat boolean array.
+    Sketch r's vertex v is vertex r * n + v of one block-diagonal graph
+    of the live arcs; an undirected graph's strongly connected
+    components are its components.  Returns their number and their
+    (R, n) labels, which are unique across sketches: each sketch's
+    labels form one range, which precedes the next sketch's.
     """
+    R, n = len(edge_masks), graph.n
+    index = np.int32 if R * n < 2**31 else np.int64
+    # float64 weights, connected_components' dtype, spare it a copy.
+    src, dst = np.array(graph.edges, dtype=index).reshape(-1, 2).T
+    r, a = np.nonzero(edge_masks)
+    r = r.astype(index) * n
+    rows = r + src[a]
+    r += dst[a]
+    del a
+    big = sp.csr_matrix((np.ones(len(rows)), (rows, r)), shape=(R * n, R * n))
+    del rows, r
+    count, labels = connected_components(big, directed=graph.directed, connection="strong")
+    return int(count), labels.reshape(R, n)
+
+
+class _Items:
+    """The coverage items of a sketch set: the strongly connected
+    components of each sketch's live arcs.
+
+    ``comp[r, v]`` is the item holding vertex v in sketch r, labelled as
+    by ``_live_components``.  A vertex covers every item it reaches, and
+    ``reached[v]`` lists them: row v of ``table``, an (n, count) CSR
+    matrix.  Without a table a vertex reaches only its own item in each
+    sketch: the undirected case, with no arcs between items.
+    """
+
+    def __init__(self, count: int, comp: np.ndarray, table: sp.csr_matrix | None = None):
+        self.count = count
+        self.comp = comp
+        self.table = table
+        self.reached = comp.T if table is None else np.split(table.indices, table.indptr[1:-1])
+
+    def blocks(self):
+        """Yield (lo, B) over consecutive label ranges: row i of the CSR
+        matrix B lists the vertices that reach item lo + i."""
+        if self.table is not None:
+            yield 0, self.table.T.tocsr()
+            return
+        # scipy numbers components by smallest vertex, so a chunk of
+        # sketches holds one label range, which starts at its vertex 0's.
+        n = self.comp.shape[1]
+        step = max(1, _CHUNK_BYTES // (8 * n))
+        vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (step, n))
+        for r in range(0, len(self.comp), step):
+            labels = self.comp[r : r + step]
+            lo, hi = labels[0, 0], labels[-1].max() + 1
+            pairs = (labels.ravel() - lo, vertex[: len(labels)].ravel())
+            yield lo, sp.csr_matrix((np.ones(labels.size, dtype=np.int8), pairs),
+                                    shape=(hi - lo, n))
+
+
+class _SketchSet:
+    """R live-edge sketches of a graph; sketch i is keyed by (master_seed, i)."""
 
     def __init__(self, graph: Graph, R: int, master_seed):
         if R < 1:
@@ -97,157 +151,37 @@ class UndirectedSketchSet:
         self.R = R
         self.master_seed = master_seed
         self.edge_masks = _sketch_masks(len(graph.edges), graph.p, R, master_seed)
-        n = graph.n
-        index = np.int32 if R * n < 2**31 else np.int64
-        # Sketch r's vertex v is vertex r * n + v of one graph of the live edges;
-        # float64 weights, connected_components' dtype, spare it a copy.
-        src, dst = np.array(graph.edges, dtype=index).reshape(-1, 2).T
-        r, a = np.nonzero(self.edge_masks)
-        r = r.astype(index) * n
-        rows = r + src[a]
-        r += dst[a]
-        del a
-        big = sp.csr_matrix((np.ones(len(rows)), (rows, r)), shape=(R * n, R * n))
-        del rows, r
-        ncomp, labels = connected_components(big, directed=False)
-        self.num_comps = int(ncomp)
-        self.comp = labels.reshape(R, n)
-        self._evaluators: dict[CommunityPartition, "_UndirectedEvaluator"] = {}
+        self._evaluators: dict[CommunityPartition, "_Evaluator"] = {}
 
-    def evaluator(self, part: CommunityPartition) -> "_UndirectedEvaluator":
+    def evaluator(self, part: CommunityPartition) -> "_Evaluator":
         """Evaluator for part, shared by every partition equal to it."""
         if part not in self._evaluators:
-            self._evaluators[part] = _UndirectedEvaluator(self, part)
+            self._evaluators[part] = _Evaluator(self, part)
         return self._evaluators[part]
 
-    def coverage_state(self, part: CommunityPartition) -> "UndirectedCoverageState":
-        return UndirectedCoverageState(self.evaluator(part))
+    def coverage_state(self, part: CommunityPartition) -> "CoverageState":
+        return CoverageState(self.evaluator(part))
 
 
-class _UndirectedEvaluator:
-    """Community counts of the components of one sketch set under one partition.
+class UndirectedSketchSet(_SketchSet):
+    """Live-edge sketches of an undirected graph, whose components,
+    labelled when the set is built, are its coverage items."""
 
-    ``comp_comm[i, c]`` counts community c's members of component i.
-    The greedy tables (``reach_counts`` and the member index) are built
-    on first use, so an evaluator that only estimates utilities never
-    pays for them.
-    """
+    def __init__(self, graph: Graph, R: int, master_seed):
+        super().__init__(graph, R, master_seed)
+        self.num_comps, self.comp = _live_components(graph, self.edge_masks)
+        self.items = _Items(self.num_comps, self.comp)
 
-    def __init__(self, sk: UndirectedSketchSet, part: CommunityPartition):
-        if len(part.labels) != sk.graph.n:
-            raise GraphFormatError("community partition does not match sketch graph")
-        self.sk = sk
-        self.part = part
-        C = part.num_communities
-        key = np.multiply(sk.comp, C, dtype=np.int64)
-        key += np.asarray(part.labels, dtype=np.int64)
-        self.comp_comm = np.bincount(key.ravel(), minlength=sk.num_comps * C).reshape(-1, C)
-
-    @cached_property
-    def reach_counts(self) -> np.ndarray:
-        """(n, C) counts G[v] = sum_r comp_comm[comp[r, v]] from the empty set."""
-        comp, C, n = self.sk.comp, self.part.num_communities, self.sk.graph.n
-        G = np.zeros((n, C), dtype=np.int64)
-        step = max(1, _CHUNK_BYTES // (8 * n * C))  # sketches per int64 (step, n, C) block
-        for r in range(0, self.sk.R, step):
-            G += self.comp_comm[comp[r : r + step]].sum(axis=0)
-        return G
-
-    @cached_property
-    def members(self) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, members): the vertices of component i with two or more
-        members are ``members[starts[i]:starts[i + 1]]``; a singleton's
-        range is empty.
-
-        Components lie in one sketch and are numbered by smallest vertex,
-        so a chunk of sketches holds one label range, whose members a
-        counting sort (COO to CSR) groups with bounded temporaries.
-        """
-        sk, n = self.sk, self.sk.graph.n
-        size = np.bincount(sk.comp.ravel(), minlength=sk.num_comps)
-        multi = size >= 2
-        starts = np.zeros(sk.num_comps + 1, dtype=sk.comp.dtype)  # at most R * n members
-        np.cumsum(np.where(multi, size, 0), out=starts[1:])
-        del size
-        members = np.empty(starts[-1], dtype=np.int32)
-        step = max(1, _CHUNK_BYTES // (8 * n))
-        vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (step, n))
-        for r in range(0, sk.R, step):
-            labels = sk.comp[r : r + step]
-            lo, hi = labels[0, 0], labels[-1].max() + 1
-            keep = multi[labels]
-            v = vertex[: len(labels)][keep]
-            chunk = sp.csr_matrix(
-                (np.ones(len(v), dtype=np.int8), (labels[keep] - lo, v)), shape=(hi - lo, n)
-            )
-            members[starts[lo] : starts[hi]] = chunk.indices
-        return starts, members
-
-    def coverage_counts(self, seeds) -> np.ndarray:
-        """Influenced counts per community summed over all sketches."""
-        seeds = sorted(seeds)
-        if not seeds:
-            return np.zeros(self.part.num_communities, dtype=np.int64)
-        flags = np.zeros(self.sk.num_comps, dtype=bool)
-        flags[self.sk.comp[:, seeds].ravel()] = True
-        return self.comp_comm[flags].sum(axis=0)
+    # The class's own attribute, which bench/tracing.py times.
+    evaluator = _SketchSet.evaluator
 
 
-class UndirectedCoverageState:
-    """Incrementally tracked coverage of a growing seed set.
-
-    ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
-    that u would newly cover: ``gain_counts(u)`` for every vertex not
-    yet added.  ``add`` keeps it current by subtracting each newly
-    covered component's counts from its members' rows.  A singleton is
-    covered only by its own vertex, which is never a candidate again,
-    so rows of added vertices may go stale.
-    """
-
-    def __init__(self, ev: _UndirectedEvaluator):
-        self.sk = ev.sk
-        self.ev = ev
-        self.covered = np.zeros(ev.sk.num_comps, dtype=bool)
-        self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
-        self.uncovered = ev.reach_counts.copy()
-
-    def gain_counts(self, v: int) -> np.ndarray:
-        """Counts v would add, recomputed from the covered flags."""
-        cols = self.sk.comp[:, v]
-        new = cols[~self.covered[cols]]
-        return self.ev.comp_comm[new].sum(axis=0)
-
-    def add(self, v: int) -> np.ndarray:
-        cols = self.sk.comp[:, v]
-        new = cols[~self.covered[cols]]
-        delta = self.ev.comp_comm[new].sum(axis=0)
-        self.covered[cols] = True
-        self.counts += delta
-        starts, members = self.ev.members
-        multi = new[starts[new + 1] > starts[new]]
-        if len(multi):
-            lo, sizes = starts[multi], starts[multi + 1] - starts[multi]
-            first = np.cumsum(sizes) - sizes  # where each component's members begin in rows
-            rows = members[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
-            # Float sums of counts of at most R * n < 2**53 are exact.
-            for c, counts in enumerate(self.ev.comp_comm[multi].T.astype(np.float64)):
-                dec = np.bincount(rows, np.repeat(counts, sizes), minlength=len(self.uncovered))
-                self.uncovered[:, c] -= dec.astype(np.int64)
-        return delta
-
-
-class DirectedSketchSet:
+class DirectedSketchSet(_SketchSet):
     """Live-edge sketches of a directed graph with cached reachability."""
 
     def __init__(self, graph: Graph, R: int, master_seed):
-        if R < 1:
-            raise GraphFormatError("sketch count must be >= 1")
-        self.graph = graph
-        self.R = R
-        self.master_seed = master_seed
-        self.edge_masks = _sketch_masks(len(graph.edges), graph.p, R, master_seed)
+        super().__init__(graph, R, master_seed)
         self._closure = None
-        self._reach_counts: dict[CommunityPartition, np.ndarray] = {}
 
     @property
     def closure(self) -> np.ndarray:
@@ -262,65 +196,119 @@ class DirectedSketchSet:
             self._closure = _live_reach(self, singletons, backward=True).transpose(0, 2, 1)
         return self._closure
 
-    def reach_counts(self, part: CommunityPartition) -> np.ndarray:
-        """(n, C) counts of the (sketch, vertex) pairs in each community that v reaches.
+    @cached_property
+    def items(self) -> _Items:
+        """The strongly connected components (SCCs) of each sketch and
+        the SCCs each vertex reaches.
 
-        Summed over chunks of sketches, so that the community-column
-        copies of the closure stay small; cached per partition.
+        Built from the closure by the first evaluator: a vertex reaches
+        an SCC iff it reaches the SCC's first vertex.  Estimates need
+        neither (see estimate_utilities).
         """
-        if part not in self._reach_counts:
-            if len(part.labels) != self.graph.n:
-                raise GraphFormatError("community partition does not match sketch graph")
-            n, closure = self.graph.n, self.closure
-            labels = np.asarray(part.labels, dtype=np.int64)
-            G = np.zeros((n, part.num_communities), dtype=np.int64)
-            step = max(1, _CHUNK_BYTES // (n * n))
-            for r in range(0, self.R, step):
-                block = closure[r : r + step]
-                for c in range(part.num_communities):
-                    G[:, c] += block[:, :, labels == c].sum(axis=(0, 2))
-            self._reach_counts[part] = G
-        return self._reach_counts[part]
-
-    def coverage_state(self, part: CommunityPartition) -> "DirectedCoverageState":
-        return DirectedCoverageState(self, part)
+        count, comp = _live_components(self.graph, self.edge_masks)
+        first = np.zeros(comp.size, dtype=bool)
+        first[np.unique(comp, return_index=True)[1]] = True
+        first = first.reshape(comp.shape)
+        reached = [comp[row & first] for row in self.closure.transpose(1, 0, 2)]
+        indptr = np.cumsum([0] + [len(items) for items in reached])
+        table = sp.csr_matrix((np.ones(indptr[-1], dtype=np.int8), np.concatenate(reached), indptr),
+                              shape=(self.graph.n, count))
+        return _Items(count, comp, table)
 
 
-class DirectedCoverageState:
-    """Coverage of a growing seed set as (sketch, vertex) flags.
+class _Evaluator:
+    """Community counts of the coverage items of one sketch set under one partition.
 
-    ``uncovered[u]`` equals ``gain_counts(u)`` for every vertex not yet
-    added.  ``add`` subtracts each newly covered pair once from the rows
-    of the vertices that reach it, so a whole run reads each closure
-    entry at most once.
+    ``comp_comm[i, c]`` counts community c's vertices in item i.  The
+    greedy tables (``reach_counts`` and the member index) are built on
+    first use, so an evaluator that only estimates utilities never pays
+    for them.
     """
 
-    def __init__(self, sk: DirectedSketchSet, part: CommunityPartition):
+    def __init__(self, sk: _SketchSet, part: CommunityPartition):
+        if len(part.labels) != sk.graph.n:
+            raise GraphFormatError("community partition does not match sketch graph")
         self.sk = sk
         self.part = part
-        self.uncovered = sk.reach_counts(part).copy()
-        self.labels = np.asarray(part.labels, dtype=np.int64)
-        self.comm_cols = [np.flatnonzero(self.labels == c) for c in range(part.num_communities)]
-        self.covered = np.zeros((sk.R, sk.graph.n), dtype=bool)
-        self.counts = np.zeros(part.num_communities, dtype=np.int64)
+        self.items = sk.items
+        C = part.num_communities
+        key = np.multiply(self.items.comp, C, dtype=np.int64)
+        key += np.asarray(part.labels, dtype=np.int64)
+        self.comp_comm = np.bincount(key.ravel(), minlength=self.items.count * C).reshape(-1, C)
+
+    @cached_property
+    def reach_counts(self) -> np.ndarray:
+        """(n, C) counts G[v]: comp_comm summed over the items v reaches."""
+        G = np.zeros((self.sk.graph.n, self.part.num_communities), dtype=np.int64)
+        for lo, block in self.items.blocks():
+            G += block.T @ self.comp_comm[lo : lo + block.shape[0]]
+        return G
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, members): the vertices that reach item i are
+        ``members[starts[i]:starts[i + 1]]`` if two or more do; else the
+        range is empty."""
+        starts = np.zeros(self.items.count + 1, dtype=np.int64)
+        found = []
+        for lo, block in self.items.blocks():
+            size = np.diff(block.indptr)
+            multi = size >= 2
+            starts[lo + 1 : lo + 1 + len(size)] = np.where(multi, size, 0)
+            found.append(block.indices[np.repeat(multi, size)])
+        np.cumsum(starts, out=starts)
+        return starts, np.concatenate(found)
+
+    def coverage_counts(self, seeds) -> np.ndarray:
+        """Influenced counts per community summed over all sketches."""
+        if not seeds:
+            return np.zeros(self.part.num_communities, dtype=np.int64)
+        flags = np.zeros(self.items.count, dtype=bool)
+        flags[np.concatenate([self.items.reached[v] for v in seeds])] = True
+        return self.comp_comm[flags].sum(axis=0)
+
+
+class CoverageState:
+    """Incrementally tracked coverage of a growing seed set.
+
+    ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
+    that u would newly cover: ``gain_counts(u)`` for every vertex not
+    yet added.  ``add`` keeps it current by subtracting each newly
+    covered item's counts from the rows of the vertices that reach it.
+    An item that one vertex alone reaches is covered only by that
+    vertex, which is never a candidate again, so rows of added vertices
+    may go stale.
+    """
+
+    def __init__(self, ev: _Evaluator):
+        self.sk = ev.sk
+        self.ev = ev
+        self.covered = np.zeros(ev.items.count, dtype=bool)
+        self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
+        self.uncovered = ev.reach_counts.copy()
 
     def gain_counts(self, v: int) -> np.ndarray:
         """Counts v would add, recomputed from the covered flags."""
-        new = self.sk.closure[:, v, :] & ~self.covered
-        return np.array([new[:, cols].sum() for cols in self.comm_cols], dtype=np.int64)
+        cols = self.ev.items.reached[v]
+        new = cols[~self.covered[cols]]
+        return self.ev.comp_comm[new].sum(axis=0)
 
     def add(self, v: int) -> np.ndarray:
-        row = self.sk.closure[:, v, :]
-        r_idx, w_idx = np.nonzero(row & ~self.covered)
-        comm = self.labels[w_idx]
-        delta = np.bincount(comm, minlength=self.part.num_communities)
-        self.covered |= row
+        cols = self.ev.items.reached[v]
+        new = cols[~self.covered[cols]]
+        delta = self.ev.comp_comm[new].sum(axis=0)
+        self.covered[cols] = True
         self.counts += delta
-        step = max(1, _CHUNK_BYTES // self.sk.graph.n)
-        for i in range(0, len(r_idx), step):
-            reached_by = self.sk.closure[r_idx[i : i + step], :, w_idx[i : i + step]]
-            for c in range(self.part.num_communities):
-                self.uncovered[:, c] -= reached_by[comm[i : i + step] == c].sum(axis=0)
+        starts, members = self.ev.members
+        multi = new[starts[new + 1] > starts[new]]
+        if len(multi):
+            lo, sizes = starts[multi], starts[multi + 1] - starts[multi]
+            first = np.cumsum(sizes) - sizes  # where each item's members begin in rows
+            rows = members[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
+            # Float sums of counts of at most R * n < 2**53 are exact.
+            for c, counts in enumerate(self.ev.comp_comm[multi].T.astype(np.float64)):
+                dec = np.bincount(rows, np.repeat(counts, sizes), minlength=len(self.uncovered))
+                self.uncovered[:, c] -= dec.astype(np.int64)
         return delta
 
 
@@ -360,9 +348,7 @@ def _live_reach(sk: DirectedSketchSet, starts, backward: bool = False) -> np.nda
 
 def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) -> UtilityVector:
     """Sketch-averaged utilities; pure function of (sketches, seeds, part)."""
-    for v in seeds.vertices:
-        if not (0 <= v < sk.graph.n):
-            raise GraphFormatError(f"invalid seed id {v}")
+    seeds.check_ids(sk.graph.n)
     if isinstance(sk, UndirectedSketchSet):
         counts = sk.evaluator(part).coverage_counts(seeds.vertices)
     else:
@@ -477,9 +463,7 @@ def exact_utilities(g: Graph, seeds: SeedSet, part: CommunityPartition) -> Utili
     unless p is 0 or 1, in which case plain reachability applies at any
     size.
     """
-    for v in seeds.vertices:
-        if not (0 <= v < g.n):
-            raise GraphFormatError(f"invalid seed id {v}")
+    seeds.check_ids(g.n)
     if len(part.labels) != g.n:
         raise GraphFormatError("community partition does not match graph")
     sizes = part.sizes

@@ -303,6 +303,7 @@ def _cmd_metrics(args) -> int:
     g, part = load_graph(args.graph)
     vertices = _parse_seeds(args.seeds)
     seeds = SeedSet(frozenset(vertices), max(len(vertices), 1))
+    seeds.check_ids(g.n)
     sk = sample_sketches(g, args.sketches, args.seed)
     u = estimate_utilities(sk, seeds, part)
     params = default_params(args.alpha, g.n)

@@ -77,7 +77,7 @@ class ResultRow:
     dc_feasible: float | None = None  # dc rows: 1.0 if every DC bound was met, else 0.0
 
 
-def _method_rows(g, part, sk, k, alphas, baselines, dc_seed):
+def _method_rows(g, part, sk, k, alphas, baselines, dc_seed, instance, replication):
     """All selections for one instance and budget on one sketch set."""
     rows = []
     util_seeds, _ = greedy_utilitarian(sk, part, k)
@@ -86,15 +86,18 @@ def _method_rows(g, part, sk, k, alphas, baselines, dc_seed):
 
     def emit(method, alpha, u, gamma=None, dc_feasible=None):
         rows.append(
-            (
-                method,
-                alpha,
-                u.as_floats(),
-                float(total_influence(u)),
-                float(utility_gap(u)),
-                pof(total_influence(u), im_total) if im_total > 0 else 0.0,
-                gamma,
-                dc_feasible,
+            ResultRow(
+                instance=instance,
+                replication=replication,
+                method=method,
+                k=k,
+                alpha=alpha,
+                utilities=u.as_floats(),
+                total=float(total_influence(u)),
+                gap=float(utility_gap(u)),
+                pof=pof(total_influence(u), im_total) if im_total > 0 else 0.0,
+                gamma=gamma,
+                dc_feasible=dc_feasible,
             )
         )
 
@@ -124,24 +127,8 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
             g, part = cfg.graph, cfg.partition
         sk = sample_sketches(g, cfg.R, seed_key)
         for k in cfg.budgets:
-            for method, alpha, u, total, gap, row_pof, gamma, dc_feasible in _method_rows(
-                g, part, sk, k, cfg.alphas, cfg.baselines, (*seed_key, 1)
-            ):
-                rows.append(
-                    ResultRow(
-                        instance=instance,
-                        replication=str(rep),
-                        method=method,
-                        k=k,
-                        alpha=alpha,
-                        utilities=u,
-                        total=total,
-                        gap=gap,
-                        pof=row_pof,
-                        gamma=gamma,
-                        dc_feasible=dc_feasible,
-                    )
-                )
+            rows += _method_rows(g, part, sk, k, cfg.alphas, cfg.baselines, (*seed_key, 1),
+                                 instance, str(rep))
     rows.extend(_aggregate(rows))
     return rows
 

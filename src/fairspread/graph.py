@@ -111,6 +111,12 @@ class SeedSet:
     def sorted(self) -> list[int]:
         return sorted(self.vertices)
 
+    def check_ids(self, n: int) -> None:
+        """Raise GraphFormatError unless every seed is a vertex of an n-vertex graph."""
+        for v in self.vertices:
+            if not (0 <= v < n):
+                raise GraphFormatError(f"invalid seed id {v}")
+
 
 @dataclass(frozen=True)
 class SbmSpec:

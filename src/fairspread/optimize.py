@@ -232,8 +232,7 @@ def _lazy_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
 
 def naive_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
     """Reference greedy evaluating every candidate at every step."""
-    if k < 1 or k > sk.graph.n:
-        raise InfeasibleError("invalid budget")
+    check_budget(k, sk.graph.n)
     state = sk.coverage_state(part)
     chosen: list[int] = []
     vals: list[float] = []
@@ -352,8 +351,7 @@ def saturate_dc(
     """
     if bounds.k != k:
         raise InfeasibleError("bounds were computed for a different budget")
-    if k < 1 or k > sk.graph.n:
-        raise InfeasibleError("invalid budget")
+    check_budget(k, sk.graph.n)
     sat_obj = dc_objective(part, sk.R, bounds)
     state = sk.coverage_state(part)
     chosen: list[int] = []

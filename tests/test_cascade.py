@@ -296,6 +296,59 @@ def test_directed_closure_counts_beyond_255_paths():
     assert trace.objective_after_each == (float(n),)
 
 
+def _cycles_feeding_dag(rng, cycles, tail, p):
+    """Directed cycles, each with a chord, whose vertices feed a DAG of tail
+    vertices (arcs from lower to higher ids only)."""
+    edges, v = set(), 0
+    for size in cycles:
+        ring = list(range(v, v + size))
+        edges |= {(ring[i], ring[(i + 1) % size]) for i in range(size)}
+        edges.add((ring[0], ring[size // 2]))
+        v += size
+    for w in range(v, v + tail):
+        for u in rng.choice(w, size=2, replace=False):
+            edges.add((int(u), w))
+    return Graph(n=v + tail, edges=tuple(sorted(edges)), directed=True, p=p)
+
+
+def test_directed_items_are_strongly_connected_components():
+    rng = np.random.default_rng(47)
+    for cycles, tail, p, R in (((2, 3, 5), 20, 0.8, 6), ((4, 6, 8), 30, 0.6, 5),
+                               ((2, 2, 12), 15, 0.9, 4)):
+        g = _cycles_feeding_dag(rng, cycles, tail, p)
+        labels = tuple(int(x) for x in rng.integers(0, 2, g.n - 2)) + (0, 1)
+        part = CommunityPartition(labels=labels)
+        sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
+        items = sk.items
+        comp = items.comp
+        sizes = np.bincount(comp.ravel())
+        assert (sizes == 1).any() and (sizes >= 3).any()
+        first = 0
+        for r in range(R):
+            reach = [_dfs(_live_adjacency(g, sk.edge_masks[r]), [v]) for v in range(g.n)]
+            for v in range(g.n):
+                for w in range(g.n):
+                    mutual = w in reach[v] and v in reach[w]
+                    assert (comp[r, v] == comp[r, w]) == mutual, (r, v, w)
+            # One contiguous range per sketch, after the previous sketch's.
+            found = np.unique(comp[r]).tolist()
+            assert found == list(range(first, first + len(found))), r
+            first += len(found)
+        assert first == items.count
+        coverers = [set() for _ in range(items.count)]
+        for v in range(g.n):
+            got = items.reached[v].tolist()
+            want = set().union(*(comp[r, sk.closure[r, v]].tolist() for r in range(R)))
+            assert len(got) == len(want) and set(got) == want, v
+            for i in got:
+                coverers[i].add(v)
+        starts, members = sk.evaluator(part).members
+        assert len(starts) == items.count + 1 and starts[-1] == len(members)
+        for i, want in enumerate(coverers):
+            got = members[starts[i] : starts[i + 1]].tolist()
+            assert sorted(got) == (sorted(want) if len(want) >= 2 else []), i
+
+
 def test_exact_path_graph():
     g = Graph(n=3, edges=((0, 1), (1, 2)), p=0.5)
     u = exact_utilities(g, SeedSet(frozenset({0}), 1), _one_comm(3))

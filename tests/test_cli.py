@@ -323,6 +323,16 @@ def test_select_checks_budget_before_sampling(graph_file, capsys, monkeypatch, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_metrics_checks_seed_ids_before_sampling(graph_file, capsys, monkeypatch):
+    def no_sketches(*args):
+        raise AssertionError("sketches sampled before the seed ids were checked")
+
+    monkeypatch.setattr(cli, "sample_sketches", no_sketches)
+    rc = main(["metrics", "--graph", str(graph_file), "0", "10"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: invalid seed id 10\n"
+
+
 def test_seed_tokens_split_on_commas(graph_file, capsys):
     assert main(["exact", "--graph", str(graph_file), "0,4", ",", "6,", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["seeds"] == [0, 4, 6]

@@ -238,6 +238,18 @@ def test_dc_bounds_budgets_and_values():
     assert small.bounds == (0.0, 0.0)
 
 
+def test_naive_greedy_and_saturate_dc_check_budget_like_select():
+    g, part = _instance()
+    sk = sample_sketches(g, 20, 0)
+    too_many = f"budget {g.n + 1} exceeds vertex count {g.n}"
+    for k, message in ((0, "budget must be >= 1"), (g.n + 1, too_many)):
+        with pytest.raises(InfeasibleError, match=f"^{message}$"):
+            naive_greedy(sk, part, k, TotalObjective(sk.R))
+        bounds = DcBounds(bounds=(0.0, 0.0), budgets=(0, 0), k=k)
+        with pytest.raises(InfeasibleError, match=f"^{message}$"):
+            saturate_dc(sk, part, k, bounds)
+
+
 def test_dc_bounds_deterministic():
     g, part = _instance(2, sizes=(30, 15))
     b1 = dc_lower_bounds(g, part, 6, R=100, master_seed=4)
