@@ -15,6 +15,7 @@ returns rational utilities.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +29,18 @@ from .graph import CommunityPartition, Graph, SeedSet
 
 # Bytes per temporary when the greedy tables are summed in chunks.
 _CHUNK_BYTES = 1 << 20
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+# Sketches seeded per chunk.  A chunk's states are held as Python ints;
+# an R-long list of them would pin heap pages during large sketch builds.
+_SEED_CHUNK = 256
 
 # Reach masks of the exact oracle hold one bit per edge endpoint in a
 # uint64, so 2 * EXACT_COIN_LIMIT <= 64 must hold.
@@ -71,13 +84,82 @@ def simulate_once(g: Graph, seeds: SeedSet, rng: np.random.Generator) -> set[int
     return active
 
 
+def _key_words(key) -> list[int]:
+    """The uint32 words numpy's SeedSequence reads from an integer or a
+    nested sequence of integers: each integer little-endian, 0 as one word."""
+    if isinstance(key, (tuple, list)):
+        return [w for part in key for w in _key_words(part)]
+    value = operator.index(key)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_states(key: list[int], first: int, count: int) -> np.ndarray:
+    """(count, 4) uint64: ``SeedSequence((*key, i)).generate_state(4, np.uint64)``
+    for i = first, ..., first + count - 1, with key given as its words.
+
+    numpy's SeedSequence mixing (pool of four uint32 words, no spawn key)
+    on uint32 lanes, one lane per sketch; i < 2**32 is one entropy word.
+    """
+    entropy = np.zeros((max(len(key) + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[: len(key)] = np.array(key, dtype=np.uint32)[:, None]
+    entropy[len(key)] = np.arange(first, first + count)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words, hash_const = [], _INIT_B
+    for j in range(8):
+        value = pool[j % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
+
+
 def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
-    """(R, m) keep-masks; sketch i is keyed by (master_seed, i)."""
-    key = master_seed if isinstance(master_seed, (tuple, list)) else (master_seed,)
+    """(R, m) keep-masks; sketch i is keyed by (master_seed, i).
+
+    Row i is ``np.random.default_rng((*key, i)).random(m) < p``, bit for
+    bit.  Instead of a Generator per sketch, the SeedSequence states of
+    a chunk of sketches are hashed at once, and each is loaded into one
+    reused PCG64 as PCG's srandom_r would seed it.
+    """
+    key = _key_words(master_seed)
     masks = np.empty((R, m), dtype=bool)
-    for i in range(R):
-        rng = np.random.default_rng((*key, i))
-        masks[i] = rng.random(m) < p
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    draws = np.empty(m)
+    for lo in range(0, R, _SEED_CHUNK):
+        states = _seed_states(key, lo, min(_SEED_CHUNK, R - lo)).tolist()
+        for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(masks[lo:], states):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            rng.random(out=draws)
+            np.less(draws, p, out=row)
     return masks
 
 
@@ -202,7 +284,9 @@ class DirectedSketchSet(_SketchSet):
         the SCCs each vertex reaches.
 
         Built from the closure by the first evaluator: a vertex reaches
-        an SCC iff it reaches the SCC's first vertex.  Estimates need
+        an SCC iff it reaches the SCC's first vertex.  The closure's
+        R * n * n bytes are then released, since greedy reads only the
+        table; ``closure`` rebuilds them if asked again.  Estimates need
         neither (see estimate_utilities).
         """
         count, comp = _live_components(self.graph, self.edge_masks)
@@ -210,6 +294,7 @@ class DirectedSketchSet(_SketchSet):
         first[np.unique(comp, return_index=True)[1]] = True
         first = first.reshape(comp.shape)
         reached = [comp[row & first] for row in self.closure.transpose(1, 0, 2)]
+        self._closure = None
         indptr = np.cumsum([0] + [len(items) for items in reached])
         table = sp.csr_matrix((np.ones(indptr[-1], dtype=np.int8), np.concatenate(reached), indptr),
                               shape=(self.graph.n, count))
@@ -236,28 +321,40 @@ class _Evaluator:
         key += np.asarray(part.labels, dtype=np.int64)
         self.comp_comm = np.bincount(key.ravel(), minlength=self.items.count * C).reshape(-1, C)
 
-    @cached_property
+    @property
     def reach_counts(self) -> np.ndarray:
         """(n, C) counts G[v]: comp_comm summed over the items v reaches."""
-        G = np.zeros((self.sk.graph.n, self.part.num_communities), dtype=np.int64)
-        for lo, block in self.items.blocks():
-            G += block.T @ self.comp_comm[lo : lo + block.shape[0]]
-        return G
+        return self._greedy_tables[0]
 
-    @cached_property
+    @property
     def members(self) -> tuple[np.ndarray, np.ndarray]:
         """(starts, members): the vertices that reach item i are
         ``members[starts[i]:starts[i + 1]]`` if two or more do; else the
         range is empty."""
+        return self._greedy_tables[1]
+
+    @cached_property
+    def _greedy_tables(self):
+        """reach_counts and members, built in one pass over the item blocks.
+
+        members is filled in place, sized for every (vertex, item) pair
+        and then cut to length, so no second copy of it is ever held.
+        """
+        G = np.zeros((self.sk.graph.n, self.part.num_communities), dtype=np.int64)
         starts = np.zeros(self.items.count + 1, dtype=np.int64)
-        found = []
+        members = np.empty(sum(map(len, self.items.reached)), dtype=np.int32)
+        end = 0
         for lo, block in self.items.blocks():
+            G += block.T @ self.comp_comm[lo : lo + block.shape[0]]
             size = np.diff(block.indptr)
             multi = size >= 2
             starts[lo + 1 : lo + 1 + len(size)] = np.where(multi, size, 0)
-            found.append(block.indices[np.repeat(multi, size)])
+            found = block.indices[np.repeat(multi, size)]
+            members[end : end + len(found)] = found
+            end += len(found)
+        members.resize(end, refcheck=False)  # no view of members exists
         np.cumsum(starts, out=starts)
-        return starts, np.concatenate(found)
+        return G, (starts, members)
 
     def coverage_counts(self, seeds) -> np.ndarray:
         """Influenced counts per community summed over all sketches."""

@@ -88,15 +88,23 @@ def _seed_token(tok: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"invalid seed token {tok!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """A count argument: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an integer of at least low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not a {kind} integer")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")  # numpy rejects negative seeds
 
 
 def _parse_seeds(tokens: list[list[int]]) -> list[int]:
@@ -109,7 +117,7 @@ _SWEEP_FIELDS = (
     ("alphas", lambda x: _is_list_of(x, _is_number), "a list of numbers"),
     ("baselines", lambda x: _is_list_of(x, lambda b: isinstance(b, str)), "a list of names"),
     ("replications", _is_int, "an integer"),
-    ("master_seed", _is_int, "an integer"),
+    ("master_seed", lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
     ("R", _is_int, "an integer"),
     ("p", _is_number, "a number"),
 )
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-sbm", help="sample a stochastic block model graph")
     p.add_argument("--spec", required=True, help="SBM spec document (JSON)")
-    p.add_argument("--seed", type=int, required=True, help="generator seed")
+    p.add_argument("--seed", type=_nonnegative_int, required=True, help="generator seed")
     p.add_argument("--p", type=float, default=0.25,
                    help="propagation probability (default: 0.25)")
     common(p, graph=False, fmt=False)
@@ -362,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inequality aversion for --method welfare (default: 0)")
     p.add_argument("--sketches", type=_positive_int, default=1000,
                    help="number of live-edge sketches (default: 1000)")
-    p.add_argument("--seed", type=int, default=0, help="sketch seed (default: 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="sketch seed (default: 0)")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("sweep", help="run a configured experiment sweep")
     p.add_argument("--config", required=True, help="experiment config document (JSON)")
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, help="override master seed")
     p.add_argument("--sketches", type=_positive_int, default=None, help="override sketch count")
     common(p, graph=False, fmt=False)
     p.set_defaults(func=_cmd_sweep)
@@ -400,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parity threshold to check (default: none)")
     p.add_argument("--sketches", type=_positive_int, default=1000,
                    help="number of live-edge sketches (default: 1000)")
-    p.add_argument("--seed", type=int, default=0, help="sketch seed (default: 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="sketch seed (default: 0)")
     p.set_defaults(func=_cmd_metrics)
 
     return parser

@@ -58,6 +58,32 @@ def test_sketch_prefix_stability():
     assert np.array_equal(big.edge_masks[:20], small.edge_masks)
 
 
+def _default_rng_masks(g, R, key):
+    """The per-sketch reference: one default_rng per sketch."""
+    key = key if isinstance(key, tuple) else (key,)
+    masks = np.empty((R, len(g.edges)), dtype=bool)
+    for i in range(R):
+        masks[i] = np.random.default_rng((*key, i)).random(len(g.edges)) < g.p
+    return masks
+
+
+@pytest.mark.parametrize(
+    "key",
+    # ints of 1, 2 and 3 uint32 words; tuples of 1 to 5 elements, whose
+    # longer entropy runs past SeedSequence's pool of 4 words
+    [0, 2**32 - 1, 2**32, 2**64 + 3, (9,), (9, 2**32), (1, 2, 3), (4, 0, 2**40, 7),
+     (1, 2, 3, 4, 5)],
+)
+def test_sketch_masks_match_default_rng(key):
+    g, _ = generate_sbm(SbmSpec((10, 10), (0.3, 0.3), 0.1), rng_seed=2)
+    R = cascade._SEED_CHUNK + 2  # across a chunk boundary
+    assert np.array_equal(sample_sketches(g, R, key).edge_masks, _default_rng_masks(g, R, key))
+    arcs = g.edges + tuple((v, u) for u, v in g.edges[::3])
+    for h in (Graph(n=4, edges=(), p=0.5), Graph(n=g.n, edges=g.edges, p=0.0),
+              Graph(n=g.n, edges=g.edges, p=1.0), Graph(n=g.n, edges=arcs, directed=True, p=0.4)):
+        assert np.array_equal(sample_sketches(h, 3, key).edge_masks, _default_rng_masks(h, 3, key))
+
+
 def test_dispatch_by_directedness():
     gu = Graph(n=3, edges=((0, 1),), directed=False, p=0.5)
     gd = Graph(n=3, edges=((0, 1),), directed=True, p=0.5)
@@ -281,6 +307,25 @@ def test_directed_closure_and_gains_match_bruteforce():
                 for w in reach[r][v] - covered[r]:
                     want[part.labels[w]] += 1
             assert np.array_equal(state.gain_counts(v), want), (n, v)
+
+
+def test_directed_coverage_state_releases_closure():
+    # Greedy reads only the items table, so the (R, n, n) closure it is
+    # built from must not stay held: what is left is the masks, labels,
+    # table, member index and counts.
+    g, part = generate_sbm(SbmSpec((75, 75), (0.03, 0.03), 0.005), rng_seed=6)
+    reversed_half = tuple((v, u) for u, v in g.edges[::2])
+    dg = Graph(n=g.n, edges=g.edges + reversed_half, directed=True, p=0.3)
+    R = 40
+    tracemalloc.start()
+    try:
+        sk = sample_sketches(dg, R, 0)
+        state = sk.coverage_state(part)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < R * dg.n * dg.n, held
+    assert np.array_equal(state.uncovered, sk.evaluator(part).reach_counts)
 
 
 def test_directed_closure_counts_beyond_255_paths():

@@ -255,6 +255,7 @@ _SWEEP_CONFIG = {
         ({"sbm": 5}, "expected a document"),
         ({"graph": {"n": 2, "directed": False, "p": 0.5, "edges": [], "communities": [0, 0]}},
          "exactly one of sbm or graph"),
+        ({"master_seed": -3}, "'master_seed'"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, change, message):
@@ -307,6 +308,36 @@ def test_sketch_count_must_be_positive(capsys, command, count):
     err = capsys.readouterr().err
     assert "--sketches" in err
     assert ("invalid int value" if count == "x" else "is not a positive integer") in err
+
+
+@pytest.mark.parametrize("command", ["gen-sbm", "select", "metrics", "sweep"])
+def test_negative_seed_is_usage_error(capsys, command):
+    # As for --sketches: the input does not exist, so only a parse-time
+    # check exits 2.
+    argv = {
+        "gen-sbm": ["gen-sbm", "--spec", "missing.json"],
+        "select": ["select", "--graph", "missing.json", "--k", "1"],
+        "metrics": ["metrics", "--graph", "missing.json", "0"],
+        "sweep": ["sweep", "--config", "missing.json"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "-1 is not a non-negative integer" in err
+
+
+def test_seeds_of_any_size_run(graph_file, spec_file, tmp_path, capsys):
+    big = "99999999999999999999999"  # three uint32 words
+    assert main(["gen-sbm", "--spec", str(spec_file), "--seed", big,
+                 "--out", str(tmp_path / "big.json")]) == 0
+    for argv in (["select", "--graph", str(graph_file), "--k", "2"],
+                 ["metrics", "--graph", str(graph_file), "0"]):
+        assert main(argv + ["--sketches", "20", "--seed", big, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seeds"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_SWEEP_CONFIG, "master_seed": int(big)}))
+    assert main(["sweep", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("method", ["welfare", "utilitarian", "maximin", "dc"])
