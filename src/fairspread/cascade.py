@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
 
-# Bytes per temporary when the greedy tables are summed in chunks.
+# Bytes per temporary when the member index is filled or summed in chunks.
 _CHUNK_BYTES = 1 << 20
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -189,38 +189,58 @@ def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndar
 
 class _Items:
     """The coverage items of a sketch set: the strongly connected
-    components of each sketch's live arcs.
+    components (SCCs) of each sketch's live arcs.
 
     ``comp[r, v]`` is the item holding vertex v in sketch r, labelled as
-    by ``_live_components``.  A vertex covers every item it reaches, and
-    ``reached[v]`` lists them: row v of ``table``, an (n, count) CSR
-    matrix.  Without a table a vertex reaches only its own item in each
-    sketch: the undirected case, with no arcs between items.
+    by ``_live_components``.  ``arcs``, a (count, count) boolean CSR
+    matrix, has entry [i, j] if a live arc leads from item j into item
+    i; an undirected set has none.  A vertex covers every item it
+    reaches: ``members`` lists them by item and ``reached`` by vertex.
     """
 
-    def __init__(self, count: int, comp: np.ndarray, table: sp.csr_matrix | None = None):
+    def __init__(self, count: int, comp: np.ndarray, arcs: sp.csr_matrix | None = None):
         self.count = count
         self.comp = comp
-        self.table = table
-        self.reached = comp.T if table is None else np.split(table.indices, table.indptr[1:-1])
+        self.arcs = arcs if arcs is not None and arcs.nnz else None
 
-    def blocks(self):
-        """Yield (lo, B) over consecutive label ranges: row i of the CSR
-        matrix B lists the vertices that reach item lo + i."""
-        if self.table is not None:
-            yield 0, self.table.T.tocsr()
-            return
-        # scipy numbers components by smallest vertex, so a chunk of
-        # sketches holds one label range, which starts at its vertex 0's.
-        n = self.comp.shape[1]
+    @cached_property
+    def members(self) -> sp.csr_matrix:
+        """(count, n) boolean CSR matrix: row i lists every vertex that reaches item i.
+
+        It starts as each item's own vertices, filled in place from
+        ``comp`` one chunk of sketches at a time.  Then, level by level,
+        each item gains the vertices that the items with arcs into it
+        gained at the level before, until no item gains any.
+        """
+        R, n = self.comp.shape
+        indices = np.empty(R * n, dtype=np.int32)
+        indptr = np.zeros(self.count + 1, dtype=np.int64)
         step = max(1, _CHUNK_BYTES // (8 * n))
         vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (step, n))
-        for r in range(0, len(self.comp), step):
+        lo = 0  # each chunk of sketches holds the label range [lo, hi)
+        for r in range(0, R, step):
             labels = self.comp[r : r + step]
-            lo, hi = labels[0, 0], labels[-1].max() + 1
+            hi = labels.max() + 1
             pairs = (labels.ravel() - lo, vertex[: len(labels)].ravel())
-            yield lo, sp.csr_matrix((np.ones(labels.size, dtype=np.int8), pairs),
-                                    shape=(hi - lo, n))
+            block = sp.csr_matrix((np.ones(labels.size, dtype=bool), pairs), shape=(hi - lo, n))
+            indices[r * n : r * n + labels.size] = block.indices
+            indptr[lo + 1 : hi + 1] = block.indptr[1:] + r * n
+            lo = hi
+        members = frontier = sp.csr_matrix((np.ones(R * n, dtype=bool), indices, indptr),
+                                           shape=(self.count, n))
+        while self.arcs is not None and frontier.nnz:
+            gained = self.arcs @ frontier  # boolean, so no count of paths can wrap
+            frontier = gained > members  # the entries not yet in members
+            members = members + frontier
+        return members
+
+    @cached_property
+    def reached(self):
+        """reached[v] lists the items vertex v reaches."""
+        if self.arcs is None:
+            return self.comp.T
+        by_vertex = self.members.T.tocsr()
+        return np.split(by_vertex.indices, by_vertex.indptr[1:-1])
 
 
 class _SketchSet:
@@ -259,55 +279,38 @@ class UndirectedSketchSet(_SketchSet):
 
 
 class DirectedSketchSet(_SketchSet):
-    """Live-edge sketches of a directed graph with cached reachability."""
-
-    def __init__(self, graph: Graph, R: int, master_seed):
-        super().__init__(graph, R, master_seed)
-        self._closure = None
+    """Live-edge sketches of a directed graph, whose strongly connected
+    components are labelled when a greedy first needs them."""
 
     @property
     def closure(self) -> np.ndarray:
-        """(R, n, n) boolean reachability per sketch (v reaches w).
-
-        Built from the backward reach of every singleton {w}, whose
-        storage is vertex-major in v, so that the coverage row
-        closure[:, v, :] is one contiguous (R, n) block.
-        """
-        if self._closure is None:
-            singletons = [[w] for w in range(self.graph.n)]
-            self._closure = _live_reach(self, singletons, backward=True).transpose(0, 2, 1)
-        return self._closure
+        """(R, n, n) boolean reachability per sketch (v reaches w), read
+        from the member index: v reaches w iff it reaches w's SCC."""
+        R, n = self.R, self.graph.n
+        rows = self.items.members[self.items.comp.ravel()]
+        return rows.toarray().reshape(R, n, n).transpose(0, 2, 1)
 
     @cached_property
     def items(self) -> _Items:
         """The strongly connected components (SCCs) of each sketch and
-        the SCCs each vertex reaches.
-
-        Built from the closure by the first evaluator: a vertex reaches
-        an SCC iff it reaches the SCC's first vertex.  The closure's
-        R * n * n bytes are then released, since greedy reads only the
-        table; ``closure`` rebuilds them if asked again.  Estimates need
-        neither (see estimate_utilities).
-        """
+        the live arcs between them.  Estimates need neither (see
+        estimate_utilities)."""
         count, comp = _live_components(self.graph, self.edge_masks)
-        first = np.zeros(comp.size, dtype=bool)
-        first[np.unique(comp, return_index=True)[1]] = True
-        first = first.reshape(comp.shape)
-        reached = [comp[row & first] for row in self.closure.transpose(1, 0, 2)]
-        self._closure = None
-        indptr = np.cumsum([0] + [len(items) for items in reached])
-        table = sp.csr_matrix((np.ones(indptr[-1], dtype=np.int8), np.concatenate(reached), indptr),
-                              shape=(self.graph.n, count))
-        return _Items(count, comp, table)
+        src, dst = np.array(self.graph.edges).reshape(-1, 2).T
+        r, a = np.nonzero(self.edge_masks)
+        tail, head = comp[r, src[a]], comp[r, dst[a]]
+        cross = tail != head
+        arcs = sp.csr_matrix((np.ones(np.count_nonzero(cross), dtype=bool),
+                              (head[cross], tail[cross])), shape=(count, count))
+        return _Items(count, comp, arcs)
 
 
 class _Evaluator:
     """Community counts of the coverage items of one sketch set under one partition.
 
-    ``comp_comm[i, c]`` counts community c's vertices in item i.  The
-    greedy tables (``reach_counts`` and the member index) are built on
-    first use, so an evaluator that only estimates utilities never pays
-    for them.
+    ``comp_comm[i, c]`` counts community c's vertices in item i.
+    ``reach_counts`` is built from the member index on first use, so an
+    evaluator that only estimates utilities never builds the index.
     """
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
@@ -321,40 +324,20 @@ class _Evaluator:
         key += np.asarray(part.labels, dtype=np.int64)
         self.comp_comm = np.bincount(key.ravel(), minlength=self.items.count * C).reshape(-1, C)
 
-    @property
-    def reach_counts(self) -> np.ndarray:
-        """(n, C) counts G[v]: comp_comm summed over the items v reaches."""
-        return self._greedy_tables[0]
-
-    @property
-    def members(self) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, members): the vertices that reach item i are
-        ``members[starts[i]:starts[i + 1]]`` if two or more do; else the
-        range is empty."""
-        return self._greedy_tables[1]
-
     @cached_property
-    def _greedy_tables(self):
-        """reach_counts and members, built in one pass over the item blocks.
+    def reach_counts(self) -> np.ndarray:
+        """(n, C) counts G[v]: comp_comm summed over the items v reaches.
 
-        members is filled in place, sized for every (vertex, item) pair
-        and then cut to length, so no second copy of it is ever held.
+        Summed over chunks of item rows, since scipy multiplies an int64
+        copy of the index's data, one chunk of it at a time.
         """
+        members = self.items.members
         G = np.zeros((self.sk.graph.n, self.part.num_communities), dtype=np.int64)
-        starts = np.zeros(self.items.count + 1, dtype=np.int64)
-        members = np.empty(sum(map(len, self.items.reached)), dtype=np.int32)
-        end = 0
-        for lo, block in self.items.blocks():
-            G += block.T @ self.comp_comm[lo : lo + block.shape[0]]
-            size = np.diff(block.indptr)
-            multi = size >= 2
-            starts[lo + 1 : lo + 1 + len(size)] = np.where(multi, size, 0)
-            found = block.indices[np.repeat(multi, size)]
-            members[end : end + len(found)] = found
-            end += len(found)
-        members.resize(end, refcheck=False)  # no view of members exists
-        np.cumsum(starts, out=starts)
-        return G, (starts, members)
+        per_chunk = _CHUNK_BYTES // 8
+        cuts = np.searchsorted(members.indptr, np.arange(per_chunk, members.nnz, per_chunk))
+        for lo, hi in zip([0, *cuts], [*cuts, self.items.count]):
+            G += members[lo:hi].T @ self.comp_comm[lo:hi]
+        return G
 
     def coverage_counts(self, seeds) -> np.ndarray:
         """Influenced counts per community summed over all sketches."""
@@ -369,12 +352,9 @@ class CoverageState:
     """Incrementally tracked coverage of a growing seed set.
 
     ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
-    that u would newly cover: ``gain_counts(u)`` for every vertex not
-    yet added.  ``add`` keeps it current by subtracting each newly
-    covered item's counts from the rows of the vertices that reach it.
-    An item that one vertex alone reaches is covered only by that
-    vertex, which is never a candidate again, so rows of added vertices
-    may go stale.
+    that u would newly cover: ``gain_counts(u)`` for every vertex.
+    ``add`` keeps it current by subtracting each newly covered item's
+    counts from the rows of every vertex that reaches it.
     """
 
     def __init__(self, ev: _Evaluator):
@@ -393,19 +373,23 @@ class CoverageState:
     def add(self, v: int) -> np.ndarray:
         cols = self.ev.items.reached[v]
         new = cols[~self.covered[cols]]
-        delta = self.ev.comp_comm[new].sum(axis=0)
+        counts = self.ev.comp_comm[new]
+        delta = counts.sum(axis=0)
         self.covered[cols] = True
         self.counts += delta
-        starts, members = self.ev.members
-        multi = new[starts[new + 1] > starts[new]]
-        if len(multi):
-            lo, sizes = starts[multi], starts[multi + 1] - starts[multi]
-            first = np.cumsum(sizes) - sizes  # where each item's members begin in rows
-            rows = members[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
-            # Float sums of counts of at most R * n < 2**53 are exact.
-            for c, counts in enumerate(self.ev.comp_comm[multi].T.astype(np.float64)):
-                dec = np.bincount(rows, np.repeat(counts, sizes), minlength=len(self.uncovered))
-                self.uncovered[:, c] -= dec.astype(np.int64)
+        # The new items' member rows are gathered with numpy: scipy's
+        # per-call overhead would dominate a greedy's many small adds.
+        members = self.ev.items.members
+        starts = members.indptr[new]
+        sizes = members.indptr[new + 1] - starts
+        at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        at += np.arange(len(at))  # the index entries of the new items' rows
+        rows = members.indices[at]
+        del at
+        # Float sums of counts of at most R * n < 2**53 are exact.
+        for c, weights in enumerate(counts.T.astype(np.float64)):
+            dec = np.bincount(rows, np.repeat(weights, sizes), minlength=len(self.uncovered))
+            self.uncovered[:, c] -= dec.astype(np.int64)
         return delta
 
 
@@ -419,28 +403,24 @@ def sample_sketches(g: Graph, R: int, master_seed) -> SketchSet:
     return UndirectedSketchSet(g, R, master_seed)
 
 
-def _live_reach(sk: DirectedSketchSet, starts, backward: bool = False) -> np.ndarray:
-    """(R, len(starts), n) table: start set s reaches w over sketch r's live arcs.
+def _live_reach(sk: DirectedSketchSet, seeds) -> np.ndarray:
+    """(R, n) table: the seed set reaches w over sketch r's live arcs.
 
-    With backward=True arcs are followed in reverse, so entry [r, s, w]
-    says that w reaches start set s.  The table is a view of
-    vertex-major (n, R, len(starts)) storage: a sweep over the arcs ORs
-    one contiguous (R, len(starts)) block into another per arc, and
-    sweeps repeat until nothing changes.
+    The table is a view of vertex-major (n, R) storage: a sweep over the
+    arcs ORs one contiguous row into another per arc, and sweeps repeat
+    until nothing changes.
     """
-    reach = np.zeros((sk.graph.n, sk.R, len(starts)), dtype=bool)
-    for s, start in enumerate(starts):
-        reach[sorted(start), :, s] = True
-    live = np.ascontiguousarray(sk.edge_masks.T)[:, :, None]  # (m, R, 1)
-    arcs = [(a, v, u) if backward else (a, u, v) for a, (u, v) in enumerate(sk.graph.edges)]
-    step = np.empty(reach.shape[1:], dtype=bool)
+    reach = np.zeros((sk.graph.n, sk.R), dtype=bool)
+    reach[sorted(seeds)] = True
+    live = np.ascontiguousarray(sk.edge_masks.T)  # (m, R)
+    step = np.empty(sk.R, dtype=bool)
     before, count = -1, np.count_nonzero(reach)
     while count != before:
-        for a, u, v in arcs:
+        for a, (u, v) in enumerate(sk.graph.edges):
             np.logical_and(reach[u], live[a], out=step)
             reach[v] |= step
         before, count = count, np.count_nonzero(reach)
-    return reach.transpose(1, 2, 0)
+    return reach.T
 
 
 def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) -> UtilityVector:
@@ -451,7 +431,7 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
     else:
         if len(part.labels) != sk.graph.n:
             raise GraphFormatError("community partition does not match sketch graph")
-        active = _live_reach(sk, [seeds.vertices])[:, 0, :]
+        active = _live_reach(sk, seeds.vertices)
         labels = np.asarray(part.labels, dtype=np.int64)
         counts = np.array(
             [int(active[:, labels == c].sum()) for c in range(part.num_communities)],

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cascade import estimate_utilities, exact_utilities, sample_sketches
+from .cascade import UtilityVector, estimate_utilities, exact_utilities, sample_sketches
 from .errors import EnumerationLimitError, GraphFormatError, InfeasibleError
 from .experiments import (
     ExperimentConfig,
@@ -201,8 +201,6 @@ def _select_seeds(g, part, sk, args):
 def _cmd_select(args) -> int:
     g, part = load_graph(args.graph)
     if args.k == 0:
-        from .cascade import UtilityVector
-
         seeds, extra = SeedSet(frozenset(), 0), {}
         u = UtilityVector((0.0,) * part.num_communities, part.sizes)
     else:

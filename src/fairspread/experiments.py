@@ -178,21 +178,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def relative_connectedness_experiment(
-    cfg: ExperimentConfig | None = None,
+    cfg: ExperimentConfig,
     q3_levels: tuple[float, ...] = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
 ) -> list[ResultRow]:
     """Vary the third community's internal connectedness q_3.
 
-    Three communities of 100 with within-probabilities
+    The sizes and the other probabilities come from cfg.sbm.  The
+    paper's study has three communities of 100 with within-probabilities
     (0.06, 0.03, q_3) and 0.005 between, k = 0.1 n.
     """
-    if cfg is None:
-        cfg = ExperimentConfig(
-            sbm=SbmSpec((100, 100, 100), (0.06, 0.03, 0.0), 0.005),
-            budgets=(30,),
-            alphas=(-2.0,),
-            baselines=("utilitarian",),
-        )
     rows: list[ResultRow] = []
     for level, q3 in enumerate(q3_levels):
         base = cfg.sbm
@@ -206,20 +200,15 @@ def relative_connectedness_experiment(
 
 
 def relative_size_experiment(
-    cfg: ExperimentConfig | None = None,
+    cfg: ExperimentConfig,
     ratios: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9),
 ) -> list[ResultRow]:
-    """Grow one of two communities from 100 to 900 vertices.
+    """Grow the second of two communities to each ratio times the first's size.
 
-    q_c = 0.005 within both communities, 0.001 between, k = 0.1 n.
+    The probabilities come from cfg.sbm, and each level's budgets are
+    0.1 n.  The paper's study grows it from 100 to 900 vertices with
+    q_c = 0.005 within both communities and 0.001 between.
     """
-    if cfg is None:
-        cfg = ExperimentConfig(
-            sbm=SbmSpec((100, 100), (0.005, 0.005), 0.001),
-            budgets=(20,),
-            alphas=(-2.0,),
-            baselines=("utilitarian",),
-        )
     rows: list[ResultRow] = []
     for level, ratio in enumerate(ratios):
         base = cfg.sbm

@@ -428,11 +428,14 @@ def exhaustive_opt(
     """
     if objective == "welfare" and params is None:
         raise InfeasibleError("welfare objective requires WelfareParams")
+    if k < 0:
+        raise InfeasibleError("budget must be >= 0")
     if k == 0:
         u = UtilityVector(values=(0.0,) * part.num_communities, sizes=part.sizes)
         return SeedSet(vertices=frozenset(), k=0), float(
             _objective_value(u, objective, params)
         )
+    check_budget(k, g.n)
     best_combo = None
     best_val = None
     for combo, u in enumerate_seed_set_utilities(g, part, k, sketches, limit):

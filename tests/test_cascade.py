@@ -151,8 +151,8 @@ def test_uncovered_rows_track_gain_counts():
                 state.add(int(v))
                 chosen.append(int(v))
             for u in range(g.n):
-                if u not in chosen:
-                    assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
+                assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
+            assert not state.uncovered[chosen].any()
 
 
 def _live_components(g, keep):
@@ -196,11 +196,9 @@ def test_sketch_components_match_per_sketch_search(monkeypatch):
         part = CommunityPartition(labels=labels)
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
         ev = sk.evaluator(part)
-        starts, members = ev.members
-        assert len(starts) == sk.num_comps + 1 and starts[0] == 0
-        assert starts[-1] == len(members)
-        if g.p == 0.0 or not g.edges:
-            assert len(members) == 0
+        members = sk.items.members
+        # Every vertex is the member of its own component alone.
+        assert members.shape == (sk.num_comps, g.n) and members.nnz == R * g.n
         assert np.unique(sk.comp).tolist() == list(range(sk.num_comps))
         # No label spans two sketches.
         assert sum(len(np.unique(row)) for row in sk.comp) == sk.num_comps
@@ -210,11 +208,8 @@ def test_sketch_components_match_per_sketch_search(monkeypatch):
                 found.setdefault(int(label), set()).add(v)
             assert {frozenset(c) for c in found.values()} == _live_components(g, sk.edge_masks[r])
             for label, comp in found.items():
-                got = members[starts[label] : starts[label + 1]].tolist()
-                if len(comp) == 1:
-                    assert got == [], (r, label)
-                else:
-                    assert sorted(got) == sorted(comp), (r, label)
+                got = members.indices[members.indptr[label] : members.indptr[label + 1]]
+                assert sorted(got.tolist()) == sorted(comp), (r, label)
         want = np.zeros((sk.num_comps, part.num_communities), dtype=np.int64)
         np.add.at(want, (sk.comp.ravel(), np.tile(labels, R)), 1)
         assert np.array_equal(ev.comp_comm, want)
@@ -309,23 +304,27 @@ def test_directed_closure_and_gains_match_bruteforce():
             assert np.array_equal(state.gain_counts(v), want), (n, v)
 
 
-def test_directed_coverage_state_releases_closure():
-    # Greedy reads only the items table, so the (R, n, n) closure it is
-    # built from must not stay held: what is left is the masks, labels,
-    # table, member index and counts.
+def test_directed_greedy_peak_stays_below_closure_bytes():
+    # The member index of this instance is far smaller than the R * n * n
+    # bytes of a dense reachability closure, so building it, the coverage
+    # state and five picks must never hold that many bytes at once.
     g, part = generate_sbm(SbmSpec((75, 75), (0.03, 0.03), 0.005), rng_seed=6)
     reversed_half = tuple((v, u) for u, v in g.edges[::2])
     dg = Graph(n=g.n, edges=g.edges + reversed_half, directed=True, p=0.3)
     R = 40
+    closure_bytes = R * dg.n * dg.n
     tracemalloc.start()
     try:
         sk = sample_sketches(dg, R, 0)
         state = sk.coverage_state(part)
-        held = tracemalloc.get_traced_memory()[0]
+        for v in (0, 40, 80, 120, 149):
+            state.add(v)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held < R * dg.n * dg.n, held
-    assert np.array_equal(state.uncovered, sk.evaluator(part).reach_counts)
+    assert peak < closure_bytes, (peak, closure_bytes)
+    members = sk.items.members
+    assert 10 * (members.data.nbytes + members.indices.nbytes) < closure_bytes
 
 
 def test_directed_closure_counts_beyond_255_paths():
@@ -361,16 +360,15 @@ def test_directed_items_are_strongly_connected_components():
     for cycles, tail, p, R in (((2, 3, 5), 20, 0.8, 6), ((4, 6, 8), 30, 0.6, 5),
                                ((2, 2, 12), 15, 0.9, 4)):
         g = _cycles_feeding_dag(rng, cycles, tail, p)
-        labels = tuple(int(x) for x in rng.integers(0, 2, g.n - 2)) + (0, 1)
-        part = CommunityPartition(labels=labels)
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
         items = sk.items
         comp = items.comp
         sizes = np.bincount(comp.ravel())
         assert (sizes == 1).any() and (sizes >= 3).any()
-        first = 0
+        first, reaches = 0, []
         for r in range(R):
             reach = [_dfs(_live_adjacency(g, sk.edge_masks[r]), [v]) for v in range(g.n)]
+            reaches.append(reach)
             for v in range(g.n):
                 for w in range(g.n):
                     mutual = w in reach[v] and v in reach[w]
@@ -383,15 +381,15 @@ def test_directed_items_are_strongly_connected_components():
         coverers = [set() for _ in range(items.count)]
         for v in range(g.n):
             got = items.reached[v].tolist()
-            want = set().union(*(comp[r, sk.closure[r, v]].tolist() for r in range(R)))
+            want = {int(comp[r, w]) for r in range(R) for w in reaches[r][v]}
             assert len(got) == len(want) and set(got) == want, v
-            for i in got:
+            for i in want:
                 coverers[i].add(v)
-        starts, members = sk.evaluator(part).members
-        assert len(starts) == items.count + 1 and starts[-1] == len(members)
+        members = items.members
+        assert members.shape == (items.count, g.n)
         for i, want in enumerate(coverers):
-            got = members[starts[i] : starts[i + 1]].tolist()
-            assert sorted(got) == (sorted(want) if len(want) >= 2 else []), i
+            got = members.indices[members.indptr[i] : members.indptr[i + 1]].tolist()
+            assert len(got) == len(want) and set(got) == want, i
 
 
 def test_exact_path_graph():

@@ -129,6 +129,15 @@ def test_exact_bruteforce_mode(graph_file, capsys):
     assert doc["seeds"] == [0]  # star center maximizes total spread
 
 
+@pytest.mark.parametrize(
+    "k, message", [("-1", "budget must be >= 0"), ("11", "budget 11 exceeds vertex count 10")]
+)
+def test_exact_rejects_infeasible_budget(graph_file, capsys, k, message):
+    rc = main(["exact", "--graph", str(graph_file), "--k", k, "--method", "maximin"])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_metrics_with_delta(graph_file, capsys):
     rc = main(
         ["metrics", "--graph", str(graph_file), "0", "4", "--alpha", "0",
