@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +27,6 @@ from .experiments import (
     relative_size_experiment,
     rows_to_csv,
     run_sweep,
-    write_metadata,
 )
 from .fixtures import verify_all
 from .graph import (
@@ -40,15 +40,7 @@ from .graph import (
     load_sbm_spec,
     save_graph,
 )
-from .optimize import (
-    check_budget,
-    dc_lower_bounds,
-    exhaustive_opt,
-    greedy_utilitarian,
-    greedy_welfare,
-    saturate_dc,
-    saturate_maximin,
-)
+from .optimize import METHODS, check_budget, exhaustive_opt, select_seeds
 from .welfare import (
     default_params,
     dp_satisfied,
@@ -65,17 +57,18 @@ EXIT_INFEASIBLE = 4
 
 
 def _emit_metadata(args, resolved: dict) -> None:
-    doc = dict(sorted(resolved.items()))
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        Path(str(args.out) + ".meta.json").write_text(text)
+    """The resolved configuration and the version, beside --out or to stderr."""
+    doc = {key: value for key, value in resolved.items() if key != "func"}
+    text = json.dumps(doc | {"version": __version__}, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out + ".meta.json").write_text(text)
     else:
         sys.stderr.write(text)
 
 
 def _write_or_print(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text, newline="")
     else:
         sys.stdout.write(text)
 
@@ -107,8 +100,32 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")  # numpy rejects negative seeds
 
 
-def _parse_seeds(tokens: list[list[int]]) -> list[int]:
-    return [v for tok in tokens for v in tok]
+def _float_accepted_by(check):
+    """An argparse type: a float that check accepts, else a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        try:
+            check(value)
+        except GraphFormatError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+_alpha = _float_accepted_by(lambda alpha: default_params(alpha, 1))
+_delta = _float_accepted_by(lambda delta: dp_satisfied(UtilityVector((0.0,), (1,)), delta))
+
+
+class _FlattenSeeds(argparse.Action):
+    """Seed tokens as one list of vertex ids; None when no token is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, [v for tok in values for v in tok] if values else None)
 
 
 # Sweep config fields passed to ExperimentConfig: (key, check, expected type).
@@ -130,33 +147,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _selection_report(args, part, seeds, u, extra: dict | None = None) -> str:
+def _selection_report(args, seeds, u, extra: dict) -> str:
+    """A select, exact or metrics report in args.format, extra keys last."""
     values = u.as_floats()
-    gap = float(utility_gap(u))
-    total = float(total_influence(u))
-    doc = {
-        "seeds": sorted(seeds),
-        "utilities": list(values),
-        "total": total,
-        "gap": gap,
-    }
-    if extra:
-        doc.update(extra)
+    doc = {"seeds": sorted(seeds), "utilities": list(values),
+           "total": float(total_influence(u)), "gap": float(utility_gap(u))} | extra
     if args.format == "json":
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.format == "csv":
-        extra = extra or {}
-        header = ["seeds", "total", "gap"] + [f"u_{c}" for c in range(len(values))]
-        row = [_csv_cell(sorted(seeds)), repr(total), repr(gap)] + [repr(v) for v in values]
-        header += list(extra)
-        row += [_csv_cell(v) for v in extra.values()]
-        return ",".join(header) + "\n" + ",".join(row) + "\n"
-    lines = [f"seeds: {sorted(seeds)}"]
-    for key, val in doc.items():
-        if key == "seeds":
-            continue
-        lines.append(f"{key}: {val}")
-    return "\n".join(lines) + "\n"
+        cells = {key: doc[key] for key in ("seeds", "total", "gap")}
+        cells |= {f"u_{c}": v for c, v in enumerate(values)} | extra
+        return ",".join(cells) + "\n" + ",".join(map(_csv_cell, cells.values())) + "\n"
+    return "".join(f"{key}: {val}\n" for key, val in doc.items())
 
 
 def _cmd_gen_sbm(args) -> int:
@@ -173,29 +175,8 @@ def _cmd_gen_sbm(args) -> int:
         save_graph(g, part, args.out, meta=meta)
     else:
         sys.stdout.write(json.dumps(meta | {"n": g.n, "edges": len(g.edges)}) + "\n")
-    _emit_metadata(
-        args,
-        {"command": "gen-sbm", "spec": str(args.spec), "seed": args.seed, "p": args.p,
-         "out": args.out, "version": __version__},
-    )
+    _emit_metadata(args, vars(args))
     return EXIT_OK
-
-
-def _select_seeds(g, part, sk, args):
-    if args.method == "welfare":
-        seeds, _ = greedy_welfare(sk, part, args.k, default_params(args.alpha, g.n))
-        return seeds, {}
-    if args.method == "utilitarian":
-        seeds, _ = greedy_utilitarian(sk, part, args.k)
-        return seeds, {}
-    if args.method == "maximin":
-        seeds, gamma = saturate_maximin(sk, part, args.k)
-        return seeds, {"gamma": gamma}
-    if args.method == "dc":
-        bounds = dc_lower_bounds(g, part, args.k, args.sketches, (args.seed, 1))
-        seeds, feasible = saturate_dc(sk, part, args.k, bounds)
-        return seeds, {"dc_bounds": list(bounds.bounds), "dc_feasible": feasible}
-    raise InfeasibleError(f"unknown method '{args.method}'")
 
 
 def _cmd_select(args) -> int:
@@ -206,17 +187,20 @@ def _cmd_select(args) -> int:
     else:
         check_budget(args.k, g.n)
         sk = sample_sketches(g, args.sketches, args.seed)
-        seeds, extra = _select_seeds(g, part, sk, args)
+        seeds, extra = select_seeds(sk, part, args.k, args.method, args.alpha, (args.seed, 1))
         u = estimate_utilities(sk, seeds, part)
-    _write_or_print(args, _selection_report(args, part, seeds.vertices, u, extra))
-    _emit_metadata(
-        args,
-        {"command": "select", "graph": str(args.graph), "k": args.k,
-         "method": args.method, "alpha": args.alpha, "sketches": args.sketches,
-         "seed": args.seed, "format": args.format, "out": args.out,
-         "version": __version__},
-    )
+    _write_or_print(args, _selection_report(args, seeds.vertices, u, extra))
+    _emit_metadata(args, vars(args))
     return EXIT_OK
+
+
+def _sweep_knobs(cfg: ExperimentConfig) -> dict:
+    """The resolved sweep configuration; a fixed graph is known by its config file."""
+    doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+           if f.name not in ("sbm", "graph", "partition")}
+    if cfg.sbm is not None:
+        doc["sbm"] = asdict(cfg.sbm)
+    return doc
 
 
 def _cmd_sweep(args) -> int:
@@ -245,46 +229,28 @@ def _cmd_sweep(args) -> int:
         rows = relative_size_experiment(cfg)
     else:
         raise GraphFormatError(f"unknown experiment kind '{kind}'")
-    if args.out:
-        rows_to_csv(rows, args.out)
-        write_metadata(
-            str(args.out) + ".meta.json", cfg,
-            extra={"command": "sweep", "experiment": kind, "config": str(args.config)},
-        )
-    else:
-        for r in rows:
-            sys.stdout.write(f"{r}\n")
+    _write_or_print(args, rows_to_csv(rows))
+    _emit_metadata(
+        args, _sweep_knobs(cfg) | {"command": "sweep", "experiment": kind, "config": args.config}
+    )
     return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
     g, part = load_graph(args.graph)
-    if args.seeds:
-        vertices = _parse_seeds(args.seeds)
-        seeds = SeedSet(frozenset(vertices), max(len(vertices), 1))
+    if args.seeds is not None:
+        seeds = SeedSet(frozenset(args.seeds), max(len(args.seeds), 1))
         u = exact_utilities(g, seeds, part)
         extra = {"utilities_exact": [str(x) for x in u.values]}
-        text = _selection_report(args, part, seeds.vertices, u, extra)
+        text = _selection_report(args, seeds.vertices, u, extra)
     else:
         params = default_params(args.alpha, g.n) if args.method == "welfare" else None
-        objective = {"welfare": "welfare", "utilitarian": "total", "maximin": "maximin"}.get(
-            args.method
-        )
-        if objective is None:
-            raise InfeasibleError(f"method '{args.method}' has no exact objective")
-        seeds, value = exhaustive_opt(g, part, args.k, objective, params)
+        objective = {"welfare": "welfare", "utilitarian": "total", "maximin": "maximin"}
+        seeds, value = exhaustive_opt(g, part, args.k, objective[args.method], params)
         u = exact_utilities(g, seeds, part)
-        text = _selection_report(
-            args, part, seeds.vertices, u, {"objective_value": value}
-        )
+        text = _selection_report(args, seeds.vertices, u, {"objective_value": value})
     _write_or_print(args, text)
-    _emit_metadata(
-        args,
-        {"command": "exact", "graph": str(args.graph), "k": args.k,
-         "method": args.method, "alpha": args.alpha,
-         "seeds": _parse_seeds(args.seeds) if args.seeds else None,
-         "format": args.format, "out": args.out, "version": __version__},
-    )
+    _emit_metadata(args, vars(args))
     return EXIT_OK
 
 
@@ -300,15 +266,13 @@ def _cmd_verify(args) -> int:
         else:
             lines.append(f"PASS {name}")
     _write_or_print(args, "\n".join(lines) + "\n")
-    _emit_metadata(args, {"command": "verify", "out": args.out,
-                          "version": __version__})
+    _emit_metadata(args, vars(args))
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _cmd_metrics(args) -> int:
     g, part = load_graph(args.graph)
-    vertices = _parse_seeds(args.seeds)
-    seeds = SeedSet(frozenset(vertices), max(len(vertices), 1))
+    seeds = SeedSet(frozenset(args.seeds), max(len(args.seeds), 1))
     seeds.check_ids(g.n)
     sk = sample_sketches(g, args.sketches, args.seed)
     u = estimate_utilities(sk, seeds, part)
@@ -320,14 +284,8 @@ def _cmd_metrics(args) -> int:
     if args.delta is not None:
         extra["delta"] = args.delta
         extra["dp_satisfied"] = dp_satisfied(u, args.delta)
-    _write_or_print(args, _selection_report(args, part, seeds.vertices, u, extra))
-    _emit_metadata(
-        args,
-        {"command": "metrics", "graph": str(args.graph),
-         "seeds": vertices, "alpha": args.alpha, "delta": args.delta,
-         "sketches": args.sketches, "seed": args.seed, "format": args.format,
-         "out": args.out, "version": __version__},
-    )
+    _write_or_print(args, _selection_report(args, seeds.vertices, u, extra))
+    _emit_metadata(args, vars(args))
     return EXIT_OK
 
 
@@ -360,11 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="greedy seed selection on sketches")
     common(p)
     p.add_argument("--k", type=int, required=True, help="seed budget")
-    p.add_argument(
-        "--method", choices=("welfare", "utilitarian", "maximin", "dc"),
-        default="welfare", help="selector (default: welfare)",
-    )
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--method", choices=METHODS, default="welfare",
+                   help="selector (default: welfare)")
+    p.add_argument("--alpha", type=_alpha, default=0.0,
                    help="inequality aversion for --method welfare (default: 0)")
     p.add_argument("--sketches", type=_positive_int, default=1000,
                    help="number of live-edge sketches (default: 1000)")
@@ -382,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
         "exact", help="exact utilities for given seeds, or brute-force optimum"
     )
     common(p)
-    p.add_argument("seeds", nargs="*", type=_seed_token,
+    p.add_argument("seeds", nargs="*", type=_seed_token, action=_FlattenSeeds,
                    help="seed vertex ids (exact utilities mode)")
     p.add_argument("--k", type=int, default=1, help="budget for brute-force mode")
     p.add_argument(
         "--method", choices=("welfare", "utilitarian", "maximin"),
         default="welfare", help="brute-force objective (default: welfare)",
     )
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--alpha", type=_alpha, default=0.0,
                    help="inequality aversion for welfare (default: 0)")
     p.set_defaults(func=_cmd_exact)
 
@@ -399,10 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="fairness metrics for a given seed set")
     common(p)
-    p.add_argument("seeds", nargs="+", type=_seed_token, help="seed vertex ids")
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("seeds", nargs="+", type=_seed_token, action=_FlattenSeeds,
+                   help="seed vertex ids")
+    p.add_argument("--alpha", type=_alpha, default=0.0,
                    help="welfare inequality aversion (default: 0)")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_delta, default=None,
                    help="parity threshold to check (default: none)")
     p.add_argument("--sketches", type=_positive_int, default=1000,
                    help="number of live-edge sketches (default: 1000)")

@@ -11,21 +11,14 @@ sketches by the same tuple.
 from __future__ import annotations
 
 import csv
-import json
+import io
 from dataclasses import dataclass, replace
-from pathlib import Path
 from statistics import mean, pstdev
 
 from .cascade import estimate_utilities, sample_sketches
-from .errors import GraphFormatError, InfeasibleError
+from .errors import GraphFormatError
 from .graph import CommunityPartition, Graph, SbmSpec, generate_sbm
-from .optimize import (
-    dc_lower_bounds,
-    greedy_utilitarian,
-    greedy_welfare,
-    saturate_dc,
-    saturate_maximin,
-)
+from .optimize import check_budget, select_seeds
 from .welfare import default_params, pof, total_influence, utility_gap
 
 DEFAULT_ALPHAS = (-9.0, -5.0, -2.0, 0.0, 0.5, 0.9)
@@ -57,9 +50,13 @@ class ExperimentConfig:
         for b in self.baselines:
             if b not in BASELINES:
                 raise GraphFormatError(f"unknown baseline '{b}'")
+        if self.R < 1:
+            raise GraphFormatError("sketch count must be >= 1")
         n = self.sbm.n if self.sbm is not None else self.graph.n
-        if any(k > n for k in self.budgets):
-            raise InfeasibleError("budget exceeds vertex count")
+        for alpha in self.alphas:
+            default_params(alpha, n)  # rejects alpha >= 1 before any work
+        for k in self.budgets:
+            check_budget(k, n)
 
 
 @dataclass(frozen=True)
@@ -77,14 +74,22 @@ class ResultRow:
     dc_feasible: float | None = None  # dc rows: 1.0 if every DC bound was met, else 0.0
 
 
-def _method_rows(g, part, sk, k, alphas, baselines, dc_seed, instance, replication):
-    """All selections for one instance and budget on one sketch set."""
-    rows = []
-    util_seeds, _ = greedy_utilitarian(sk, part, k)
-    u_util = estimate_utilities(sk, util_seeds, part)
-    im_total = total_influence(u_util)
+def _method_rows(sk, part, k, alphas, baselines, dc_key, instance, replication):
+    """All selections for one instance and budget on one sketch set.
 
-    def emit(method, alpha, u, gamma=None, dc_feasible=None):
+    The utilitarian selection always runs: its total is every row's PoF
+    denominator, and it is also the utilitarian row.
+    """
+    runs = [("utilitarian", None)] + [("welfare", alpha) for alpha in alphas]
+    runs += [(b, None) for b in BASELINES[1:] if b in baselines]
+    rows = []
+    for method, alpha in runs:
+        seeds, extra = select_seeds(sk, part, k, method, alpha, dc_key)
+        u = estimate_utilities(sk, seeds, part)
+        if method == "utilitarian":
+            im_total = total_influence(u)
+            if method not in baselines:
+                continue
         rows.append(
             ResultRow(
                 instance=instance,
@@ -96,23 +101,10 @@ def _method_rows(g, part, sk, k, alphas, baselines, dc_seed, instance, replicati
                 total=float(total_influence(u)),
                 gap=float(utility_gap(u)),
                 pof=pof(total_influence(u), im_total) if im_total > 0 else 0.0,
-                gamma=gamma,
-                dc_feasible=dc_feasible,
+                gamma=extra.get("gamma"),
+                dc_feasible=float(extra["dc_feasible"]) if "dc_feasible" in extra else None,
             )
         )
-
-    if "utilitarian" in baselines:
-        emit("utilitarian", None, u_util)
-    for alpha in alphas:
-        seeds, _ = greedy_welfare(sk, part, k, default_params(alpha, g.n))
-        emit("welfare", alpha, estimate_utilities(sk, seeds, part))
-    if "maximin" in baselines:
-        seeds, gamma = saturate_maximin(sk, part, k)
-        emit("maximin", None, estimate_utilities(sk, seeds, part), gamma=gamma)
-    if "dc" in baselines:
-        bounds = dc_lower_bounds(g, part, k, sk.R, dc_seed)
-        seeds, feasible = saturate_dc(sk, part, k, bounds)
-        emit("dc", None, estimate_utilities(sk, seeds, part), dc_feasible=float(feasible))
     return rows
 
 
@@ -127,7 +119,7 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
             g, part = cfg.graph, cfg.partition
         sk = sample_sketches(g, cfg.R, seed_key)
         for k in cfg.budgets:
-            rows += _method_rows(g, part, sk, k, cfg.alphas, cfg.baselines, (*seed_key, 1),
+            rows += _method_rows(sk, part, k, cfg.alphas, cfg.baselines, (*seed_key, 1),
                                  instance, str(rep))
     rows.extend(_aggregate(rows))
     return rows
@@ -231,52 +223,29 @@ def csv_header(num_communities: int) -> list[str]:
     )
 
 
-def rows_to_csv(rows: list[ResultRow], path) -> None:
+def rows_to_csv(rows: list[ResultRow]) -> str:
+    """The rows as CSV text, with csv.writer's CRLF line ends."""
     if not rows:
         raise GraphFormatError("no rows to write")
     nc = len(rows[0].utilities)
     if any(len(r.utilities) != nc for r in rows):
         raise GraphFormatError("rows differ in community count")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(csv_header(nc))
-        for r in rows:
-            w.writerow(
-                [
-                    r.instance,
-                    r.replication,
-                    r.method,
-                    r.k,
-                    "" if r.alpha is None else repr(r.alpha),
-                    repr(r.gap),
-                    repr(r.pof),
-                    repr(r.total),
-                ]
-                + [repr(u) for u in r.utilities]
-                + ["" if x is None else repr(x) for x in (r.gamma, r.dc_feasible)]
-            )
-
-
-def write_metadata(path, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    """Companion document recording every knob needed to reproduce a table."""
-    from . import __version__
-
-    doc = {
-        "version": __version__,
-        "master_seed": cfg.master_seed,
-        "R": cfg.R,
-        "p": cfg.p,
-        "replications": cfg.replications,
-        "budgets": list(cfg.budgets),
-        "alphas": list(cfg.alphas),
-        "baselines": list(cfg.baselines),
-    }
-    if cfg.sbm is not None:
-        doc["sbm"] = {
-            "community_sizes": list(cfg.sbm.community_sizes),
-            "within_prob": list(cfg.sbm.within_prob),
-            "between_prob": [list(row) for row in cfg.sbm.between_prob],
-        }
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    fh = io.StringIO()
+    w = csv.writer(fh)
+    w.writerow(csv_header(nc))
+    for r in rows:
+        w.writerow(
+            [
+                r.instance,
+                r.replication,
+                r.method,
+                r.k,
+                "" if r.alpha is None else repr(r.alpha),
+                repr(r.gap),
+                repr(r.pof),
+                repr(r.total),
+            ]
+            + [repr(u) for u in r.utilities]
+            + ["" if x is None else repr(x) for x in (r.gamma, r.dc_feasible)]
+        )
+    return fh.getvalue()

@@ -37,9 +37,10 @@ from .graph import (
     SeedSet,
     induced_within_community_subgraph,
 )
-from .welfare import WelfareParams, isoelastic, total_influence, welfare
+from .welfare import WelfareParams, default_params, isoelastic, total_influence, welfare
 
 EXHAUSTIVE_LIMIT = 2_000_000
+METHODS = ("welfare", "utilitarian", "maximin", "dc")
 
 
 @dataclass(frozen=True)
@@ -365,6 +366,31 @@ def saturate_dc(
     u = state.counts / (sk.R * np.array(part.sizes, dtype=np.float64))
     feasible = bool(np.all(u >= np.array(bounds.bounds) - tol))
     return SeedSet(vertices=frozenset(chosen), k=k), feasible
+
+
+def select_seeds(
+    sk: SketchSet, part: CommunityPartition, k: int, method: str, alpha, dc_key
+) -> tuple[SeedSet, dict]:
+    """Budget-k seeds of one of METHODS, plus the extras its report carries.
+
+    welfare uses alpha with the standard floor; maximin reports
+    SATURATE's gamma; dc computes its bounds on R fresh sketches per
+    community keyed by dc_key and reports them with their feasibility.
+    """
+    if method == "welfare":
+        seeds, _ = greedy_welfare(sk, part, k, default_params(alpha, sk.graph.n))
+        return seeds, {}
+    if method == "utilitarian":
+        seeds, _ = greedy_utilitarian(sk, part, k)
+        return seeds, {}
+    if method == "maximin":
+        seeds, gamma = saturate_maximin(sk, part, k)
+        return seeds, {"gamma": gamma}
+    if method == "dc":
+        bounds = dc_lower_bounds(sk.graph, part, k, sk.R, dc_key)
+        seeds, feasible = saturate_dc(sk, part, k, bounds)
+        return seeds, {"dc_bounds": list(bounds.bounds), "dc_feasible": feasible}
+    raise InfeasibleError(f"unknown method '{method}'")
 
 
 # --- exhaustive oracle ------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fairspread import cli
+from fairspread import __version__, cli, experiments
 from fairspread.cli import main
 
 
@@ -174,6 +174,57 @@ def test_sweep_writes_csv_and_metadata(tmp_path, capsys):
     assert "threads" not in meta
 
 
+def _meta_text(doc: dict) -> str:
+    return json.dumps(doc | {"version": __version__}, indent=1, sort_keys=True) + "\n"
+
+
+def test_metadata_echoes_every_option(graph_file, spec_file, tmp_path, capsys):
+    g = str(graph_file)
+    report = {"alpha": 0.0, "format": "text", "graph": g}
+    select = report | {"command": "select", "k": 2, "sketches": 30, "seed": 0}
+    exact = report | {"command": "exact", "k": 1, "method": "welfare"}
+    runs = [
+        (["gen-sbm", "--spec", str(spec_file), "--seed", "3"],
+         {"command": "gen-sbm", "p": 0.25, "seed": 3, "spec": str(spec_file)}),
+        *((["select", "--graph", g, "--k", "2", "--method", method, "--sketches", "30"],
+           select | {"method": method}) for method in ("welfare", "utilitarian", "maximin", "dc")),
+        (["exact", "--graph", g, "0,4", "6"], exact | {"seeds": [0, 4, 6]}),
+        (["exact", "--graph", g, "--method", "welfare"], exact | {"seeds": None}),
+        (["metrics", "--graph", g, "0", "4", "--delta", "0.5", "--sketches", "30"],
+         report | {"command": "metrics", "delta": 0.5, "seed": 0, "seeds": [0, 4],
+                   "sketches": 30}),
+        (["verify"], {"command": "verify"}),
+    ]
+    for i, (argv, doc) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 0
+        meta = tmp_path / f"out{i}.meta.json"
+        assert meta.read_text() == _meta_text(doc | {"out": str(out)})
+        assert main(argv) == 0  # without --out the same document goes to stderr
+        assert capsys.readouterr().err == _meta_text(doc | {"out": None})
+
+
+def test_sweep_without_out_prints_csv_and_metadata(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**_SWEEP_CONFIG, "baselines": ["maximin", "dc"]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    meta = (tmp_path / "rows.csv.meta.json").read_text()
+    assert meta == _meta_text({
+        "R": 20, "alphas": [-2.0], "baselines": ["maximin", "dc"], "budgets": [2],
+        "command": "sweep", "config": str(config), "experiment": "sweep", "master_seed": 0,
+        "p": 0.25, "replications": 1,
+        "sbm": {"between_prob": [[0.2, 0.05], [0.05, 0.2]], "community_sizes": [8, 8],
+                "within_prob": [0.2, 0.2]},
+    })
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_bytes().decode()
+    assert "\r\n" in captured.out  # csv.writer's line ends, as in the file
+    assert captured.err == meta
+
+
 def test_verify_passes_on_bundled_fixtures(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out
@@ -265,15 +316,24 @@ _SWEEP_CONFIG = {
         ({"graph": {"n": 2, "directed": False, "p": 0.5, "edges": [], "communities": [0, 0]}},
          "exactly one of sbm or graph"),
         ({"master_seed": -3}, "'master_seed'"),
+        ({"alphas": [-2.0, 1.5]}, "alpha must be < 1, got 1.5"),
+        ({"budgets": [2, 0]}, "budget must be >= 1"),
+        ({"R": 0}, "sketch count must be >= 1"),
     ],
 )
-def test_malformed_sweep_config_exit_code(tmp_path, capsys, change, message):
+def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_SWEEP_CONFIG))
     assert main(["sweep", "--config", str(path)]) == 0  # the unmodified config is valid
     path.write_text(json.dumps({**_SWEEP_CONFIG, **change}))
     capsys.readouterr()
-    assert main(["sweep", "--config", str(path)]) == 3
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was generated before the config was checked")
+
+    monkeypatch.setattr(experiments, "generate_sbm", no_graph)
+    # An infeasible budget exits 4, as it does for select; any other fault is a format error.
+    assert main(["sweep", "--config", str(path)]) == (4 if message.startswith("budget") else 3)
     assert message in capsys.readouterr().err
 
 
@@ -317,6 +377,32 @@ def test_sketch_count_must_be_positive(capsys, command, count):
     err = capsys.readouterr().err
     assert "--sketches" in err
     assert ("invalid int value" if count == "x" else "is not a positive integer") in err
+
+
+_BAD_VALUES = {"--alpha": ("1", "1.5", "nan", "x"), "--delta": ("-0.5", "1", "nan", "x")}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(command, flag, value)
+     for command, flag in (("select", "--alpha"), ("exact", "--alpha"),
+                           ("metrics", "--alpha"), ("metrics", "--delta"))
+     for value in _BAD_VALUES[flag]],
+)
+def test_alpha_and_delta_are_checked_at_parse_time(capsys, command, flag, value):
+    # As for --sketches: the graph does not exist, so a value checked only
+    # after reading it would exit 3; a parse-time check exits 2 first.
+    argv = {
+        "select": ["select", "--graph", "missing.json", "--k", "1"],
+        "exact": ["exact", "--graph", "missing.json"],
+        "metrics": ["metrics", "--graph", "missing.json", "0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    expected = "invalid float value" if value == "x" else f"{flag[2:]} must be"
+    assert flag in err and expected in err
 
 
 @pytest.mark.parametrize("command", ["gen-sbm", "select", "metrics", "sweep"])

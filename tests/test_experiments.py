@@ -1,6 +1,8 @@
 """Experiment harness tests (reduced scale; full scale in acceptance)."""
 
 import csv
+import io
+import json
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from fairspread.experiments import (
     relative_size_experiment,
     rows_to_csv,
     run_sweep,
-    write_metadata,
 )
+from fairspread.cli import main
 from fairspread.graph import SbmSpec
 
 
@@ -124,12 +126,9 @@ def test_size_experiment_budget_scales_with_n():
     assert ks["ratio=3"] == 12  # n=120
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     rows = run_sweep(_small_cfg())
-    path = tmp_path / "out.csv"
-    rows_to_csv(rows, path)
-    with open(path) as fh:
-        table = list(csv.reader(fh))
+    table = list(csv.reader(io.StringIO(rows_to_csv(rows))))
     assert table[0] == [
         "instance", "replication", "method", "k", "alpha", "gap", "pof",
         "total", "u_0", "u_1", "u_2", "gamma", "dc_feasible",
@@ -143,12 +142,9 @@ def test_csv_round_trip(tmp_path):
     assert data_row[11:] == ["", ""]  # utilitarian rows have neither column
 
 
-def test_sweep_keeps_gamma_and_dc_feasibility(tmp_path):
+def test_sweep_keeps_gamma_and_dc_feasibility():
     rows = run_sweep(_small_cfg(baselines=("utilitarian", "maximin", "dc"), replications=1))
-    path = tmp_path / "out.csv"
-    rows_to_csv(rows, path)
-    with open(path) as fh:
-        header, *body = csv.reader(fh)
+    header, *body = csv.reader(io.StringIO(rows_to_csv(rows)))
     table = [dict(zip(header, r)) for r in body]
     for r, cells in zip(rows, table):
         assert (cells["gamma"] != "") == (r.method == "maximin")
@@ -164,26 +160,30 @@ def test_sweep_keeps_gamma_and_dc_feasibility(tmp_path):
         assert float(by_rep["std"]) == 0.0
 
 
-def test_csv_rejects_mixed_community_counts(tmp_path):
+def test_csv_rejects_mixed_community_counts():
     r1 = run_sweep(_small_cfg())[0]
     r2 = ResultRow(
         instance="x", replication="0", method="utilitarian", k=1, alpha=None,
         utilities=(0.5,), total=1.0, gap=0.0, pof=0.0,
     )
     with pytest.raises(GraphFormatError):
-        rows_to_csv([r1, r2], tmp_path / "bad.csv")
+        rows_to_csv([r1, r2])
 
 
 def test_metadata_document(tmp_path):
-    cfg = _small_cfg()
-    path = tmp_path / "m.json"
-    write_metadata(path, cfg, extra={"experiment": "sweep"})
-    import json
-
-    doc = json.loads(path.read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "sbm": {"community_sizes": [40, 40, 40], "within_prob": [0.06, 0.03, 0.0],
+                "between_prob": 0.005},
+        "budgets": [12], "alphas": [-2.0], "replications": 1, "master_seed": 17, "R": 200,
+    }))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "rows.csv.meta.json").read_text())
     assert doc["master_seed"] == 17
     assert doc["R"] == 200
-    assert doc["p"] == 0.25
+    assert doc["p"] == 0.25  # defaults are echoed
+    assert doc["baselines"] == ["utilitarian"]
     assert doc["sbm"]["community_sizes"] == [40, 40, 40]
     assert doc["experiment"] == "sweep"
     assert "time" not in " ".join(doc)
