@@ -163,28 +163,45 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     return masks
 
 
+def _sketch_step(n: int) -> int:
+    """Sketches per chunk when an (R, n) table is processed in chunks."""
+    return max(1, _CHUNK_BYTES // (8 * n))
+
+
 def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndarray]:
     """Strongly connected components of every sketch's live arcs.
 
-    Sketch r's vertex v is vertex r * n + v of one block-diagonal graph
-    of the live arcs; an undirected graph's strongly connected
-    components are its components.  Returns their number and their
-    (R, n) labels, which are unique across sketches: each sketch's
-    labels form one range, which precedes the next sketch's.
+    Returns their number and their (R, n) labels, which are unique across
+    sketches: each sketch's labels form one range, which precedes the
+    next sketch's.  A chunk of sketches is labelled at a time: sketch r's
+    vertex v is vertex r * n + v of one block-diagonal graph of the
+    chunk's live arcs, and the chunk's labels are offset by the count of
+    the chunks before it.  An undirected graph's strongly connected
+    components are its components.
     """
     R, n = len(edge_masks), graph.n
     index = np.int32 if R * n < 2**31 else np.int64
-    # float64 weights, connected_components' dtype, spare it a copy.
     src, dst = np.array(graph.edges, dtype=index).reshape(-1, 2).T
-    r, a = np.nonzero(edge_masks)
-    r = r.astype(index) * n
-    rows = r + src[a]
-    r += dst[a]
-    del a
-    big = sp.csr_matrix((np.ones(len(rows)), (rows, r)), shape=(R * n, R * n))
-    del rows, r
-    count, labels = connected_components(big, directed=graph.directed, connection="strong")
-    return int(count), labels.reshape(R, n)
+    comp = np.empty((R, n), dtype=index)
+    step = _sketch_step(n)
+    count = 0
+    for lo in range(0, R, step):
+        chunk = edge_masks[lo : lo + step]
+        size = len(chunk) * n
+        r, a = np.nonzero(chunk)
+        r = r.astype(index) * n
+        rows = r + src[a]
+        r += dst[a]
+        del a
+        # float64 weights, connected_components' dtype, spare it a copy.
+        block = sp.csr_matrix((np.ones(len(rows)), (rows, r)), shape=(size, size))
+        del rows, r
+        found, labels = connected_components(block, directed=graph.directed,
+                                             connection="strong")
+        comp[lo : lo + step] = labels.reshape(-1, n)
+        comp[lo : lo + step] += count
+        count += int(found)
+    return count, comp
 
 
 class _Items:
@@ -203,6 +220,19 @@ class _Items:
         self.comp = comp
         self.arcs = arcs if arcs is not None and arcs.nnz else None
 
+    def sketch_chunks(self):
+        """(first sketch, labels, lo, hi) per chunk of ``_sketch_step``
+        sketches: ``labels`` is the chunk's rows of ``comp``, which hold
+        the item range [lo, hi)."""
+        R, n = self.comp.shape
+        step = _sketch_step(n)
+        lo = 0
+        for r in range(0, R, step):
+            labels = self.comp[r : r + step]
+            hi = int(labels.max()) + 1
+            yield r, labels, lo, hi
+            lo = hi
+
     @cached_property
     def members(self) -> sp.csr_matrix:
         """(count, n) boolean CSR matrix: row i lists every vertex that reaches item i.
@@ -215,17 +245,12 @@ class _Items:
         R, n = self.comp.shape
         indices = np.empty(R * n, dtype=np.int32)
         indptr = np.zeros(self.count + 1, dtype=np.int64)
-        step = max(1, _CHUNK_BYTES // (8 * n))
-        vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (step, n))
-        lo = 0  # each chunk of sketches holds the label range [lo, hi)
-        for r in range(0, R, step):
-            labels = self.comp[r : r + step]
-            hi = labels.max() + 1
+        vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (_sketch_step(n), n))
+        for r, labels, lo, hi in self.sketch_chunks():
             pairs = (labels.ravel() - lo, vertex[: len(labels)].ravel())
             block = sp.csr_matrix((np.ones(labels.size, dtype=bool), pairs), shape=(hi - lo, n))
             indices[r * n : r * n + labels.size] = block.indices
             indptr[lo + 1 : hi + 1] = block.indptr[1:] + r * n
-            lo = hi
         members = frontier = sp.csr_matrix((np.ones(R * n, dtype=bool), indices, indptr),
                                            shape=(self.count, n))
         while self.arcs is not None and frontier.nnz:
@@ -308,35 +333,44 @@ class DirectedSketchSet(_SketchSet):
 class _Evaluator:
     """Community counts of the coverage items of one sketch set under one partition.
 
-    ``comp_comm[i, c]`` counts community c's vertices in item i.
-    ``reach_counts`` is built from the member index on first use, so an
-    evaluator that only estimates utilities never builds the index.
+    ``comp_comm[i, c]`` counts community c's vertices in item i.  An item
+    holds at most n vertices, so the counts are int32; every sum over
+    items (``reach_counts``, ``coverage_counts``, a state's ``counts``)
+    is int64.  ``reach_counts`` is built from the member index on first
+    use, so an evaluator that only estimates utilities never builds the
+    index.  The evaluator keeps the sketch set's items, not the set, so
+    that the set's evaluator cache forms no reference cycle.
     """
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
-        if len(part.labels) != sk.graph.n:
+        n = sk.graph.n
+        if len(part.labels) != n:
             raise GraphFormatError("community partition does not match sketch graph")
-        self.sk = sk
+        self.n = n
         self.part = part
         self.items = sk.items
         C = part.num_communities
-        key = np.multiply(self.items.comp, C, dtype=np.int64)
-        key += np.asarray(part.labels, dtype=np.int64)
-        self.comp_comm = np.bincount(key.ravel(), minlength=self.items.count * C).reshape(-1, C)
+        community = np.asarray(part.labels, dtype=np.int64)
+        self.comp_comm = np.empty((self.items.count, C), dtype=np.int32)
+        for _, labels, lo, hi in self.items.sketch_chunks():
+            key = np.multiply(labels - lo, C, dtype=np.int64)
+            key += community
+            counts = np.bincount(key.ravel(), minlength=(hi - lo) * C)
+            self.comp_comm[lo:hi] = counts.reshape(-1, C)
 
     @cached_property
     def reach_counts(self) -> np.ndarray:
         """(n, C) counts G[v]: comp_comm summed over the items v reaches.
 
-        Summed over chunks of item rows, since scipy multiplies an int64
-        copy of the index's data, one chunk of it at a time.
+        Summed in int64 over chunks of item rows, since scipy multiplies
+        a copy of the index's data, one chunk of it at a time.
         """
         members = self.items.members
-        G = np.zeros((self.sk.graph.n, self.part.num_communities), dtype=np.int64)
+        G = np.zeros((self.n, self.part.num_communities), dtype=np.int64)
         per_chunk = _CHUNK_BYTES // 8
         cuts = np.searchsorted(members.indptr, np.arange(per_chunk, members.nnz, per_chunk))
         for lo, hi in zip([0, *cuts], [*cuts, self.items.count]):
-            G += members[lo:hi].T @ self.comp_comm[lo:hi]
+            G += members[lo:hi].T @ self.comp_comm[lo:hi].astype(np.int64)
         return G
 
     def coverage_counts(self, seeds) -> np.ndarray:
@@ -345,7 +379,7 @@ class _Evaluator:
             return np.zeros(self.part.num_communities, dtype=np.int64)
         flags = np.zeros(self.items.count, dtype=bool)
         flags[np.concatenate([self.items.reached[v] for v in seeds])] = True
-        return self.comp_comm[flags].sum(axis=0)
+        return self.comp_comm[flags].sum(axis=0, dtype=np.int64)
 
 
 class CoverageState:
@@ -358,7 +392,6 @@ class CoverageState:
     """
 
     def __init__(self, ev: _Evaluator):
-        self.sk = ev.sk
         self.ev = ev
         self.covered = np.zeros(ev.items.count, dtype=bool)
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
@@ -368,29 +401,52 @@ class CoverageState:
         """Counts v would add, recomputed from the covered flags."""
         cols = self.ev.items.reached[v]
         new = cols[~self.covered[cols]]
-        return self.ev.comp_comm[new].sum(axis=0)
+        return self.ev.comp_comm[new].sum(axis=0, dtype=np.int64)
 
     def add(self, v: int) -> np.ndarray:
+        """Cover what v reaches; returns the counts it added.
+
+        The newly covered items' member rows are decremented in chunks:
+        the items whose first row falls in one run of ``_CHUNK_BYTES // 8``
+        rows, so a first pick that covers millions of rows holds the
+        transients of about that many rows at a time.  The usual small
+        add is one chunk.
+        """
         cols = self.ev.items.reached[v]
         new = cols[~self.covered[cols]]
         counts = self.ev.comp_comm[new]
-        delta = counts.sum(axis=0)
+        delta = counts.sum(axis=0, dtype=np.int64)
         self.covered[cols] = True
         self.counts += delta
-        # The new items' member rows are gathered with numpy: scipy's
-        # per-call overhead would dominate a greedy's many small adds.
+        indptr = self.ev.items.members.indptr
+        starts = indptr[new]
+        sizes = indptr[new + 1] - starts
+        # Float sums of counts of at most R * n < 2**53 are exact.
+        weights = counts.T.astype(np.float64)
+        per_chunk = _CHUNK_BYTES // 8
+        if sizes.sum() <= per_chunk:
+            self._decrement(starts, sizes, weights)
+            return delta
+        first = (np.cumsum(sizes) - sizes) // per_chunk
+        cuts = np.flatnonzero(first[1:] != first[:-1]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(new)]):
+            self._decrement(starts[lo:hi], sizes[lo:hi], weights[:, lo:hi])
+        return delta
+
+    def _decrement(self, starts, sizes, weights) -> None:
+        """Subtract each item's weights from its member rows of ``uncovered``.
+
+        The rows are gathered with numpy: scipy's per-call overhead would
+        dominate a greedy's many small adds.
+        """
         members = self.ev.items.members
-        starts = members.indptr[new]
-        sizes = members.indptr[new + 1] - starts
         at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        at += np.arange(len(at))  # the index entries of the new items' rows
+        at += np.arange(len(at))  # the index entries of the items' rows
         rows = members.indices[at]
         del at
-        # Float sums of counts of at most R * n < 2**53 are exact.
-        for c, weights in enumerate(counts.T.astype(np.float64)):
-            dec = np.bincount(rows, np.repeat(weights, sizes), minlength=len(self.uncovered))
+        for c, w in enumerate(weights):
+            dec = np.bincount(rows, np.repeat(w, sizes), minlength=len(self.uncovered))
             self.uncovered[:, c] -= dec.astype(np.int64)
-        return delta
 
 
 SketchSet = UndirectedSketchSet | DirectedSketchSet

@@ -52,6 +52,10 @@ class ExperimentConfig:
                 raise GraphFormatError(f"unknown baseline '{b}'")
         if self.R < 1:
             raise GraphFormatError("sketch count must be >= 1")
+        if not self.budgets:
+            raise GraphFormatError("a sweep needs at least one budget")
+        if not self.alphas and not self.baselines:
+            raise GraphFormatError("a sweep needs at least one alpha or baseline")
         n = self.sbm.n if self.sbm is not None else self.graph.n
         for alpha in self.alphas:
             default_params(alpha, n)  # rejects alpha >= 1 before any work
@@ -197,17 +201,17 @@ def relative_size_experiment(
 ) -> list[ResultRow]:
     """Grow the second of two communities to each ratio times the first's size.
 
-    The probabilities come from cfg.sbm, and each level's budgets are
-    0.1 n.  The paper's study grows it from 100 to 900 vertices with
-    q_c = 0.005 within both communities and 0.001 between.
+    The probabilities come from cfg.sbm, and each level has the one
+    budget max(1, n // 10), whatever cfg.budgets holds.  The paper's
+    study grows it from 100 to 900 vertices with q_c = 0.005 within both
+    communities and 0.001 between.
     """
     rows: list[ResultRow] = []
     for level, ratio in enumerate(ratios):
         base = cfg.sbm
         sizes = (base.community_sizes[0], base.community_sizes[0] * ratio)
         sbm = SbmSpec(sizes, base.within_prob, base.between_prob)
-        n = sbm.n
-        level_cfg = replace(cfg, budgets=tuple(max(1, n // 10) for _ in cfg.budgets))
+        level_cfg = replace(cfg, budgets=(max(1, sbm.n // 10),))
         rows.extend(_run_level(level_cfg, f"ratio={ratio}", level, sbm))
     return rows
 

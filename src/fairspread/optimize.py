@@ -176,7 +176,7 @@ def _greedy_run(state, budget, objective, chosen, trace_vals, early_stop=None):
     sequence can differ from naive greedy's.  Returns the number of
     candidate gains computed: the block rows of unchosen vertices.
     """
-    n = state.sk.graph.n
+    n = state.ev.n
     taken = set(chosen)
     step = len(chosen)
     gains = objective.gains(state.counts, state.uncovered).tolist()

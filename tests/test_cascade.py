@@ -1,10 +1,14 @@
 """Diffusion, sketch estimation and exact oracle tests."""
 
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fairspread import cascade
 from fairspread.cascade import (
@@ -134,25 +138,115 @@ def test_gain_counts_match_add_delta():
             assert np.array_equal(predicted, delta)
 
 
-def test_uncovered_rows_track_gain_counts():
-    # p = 0.25 leaves both singleton and multi-vertex components in the
-    # undirected sketches; the directed graph adds reversed arcs.
+def _uncovered_instance():
+    """SBM-40 at p = 0.25, with singleton and multi-vertex undirected
+    components, and its directed twin with half its edges reversed."""
     g, part = generate_sbm(SbmSpec((15, 15, 10), (0.2, 0.2, 0.3), 0.04), rng_seed=3)
     reversed_half = tuple((v, u) for u, v in g.edges[::2])
     dg = Graph(n=g.n, edges=g.edges + reversed_half, directed=True, p=g.p)
+    return g, dg, part
+
+
+def _check_uncovered_rows(sk, part, picks):
+    state = sk.coverage_state(part)
+    chosen = []
+    for v in [None, *picks]:
+        if v is not None:
+            state.add(int(v))
+            chosen.append(int(v))
+        for u in range(sk.graph.n):
+            assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
+        assert not state.uncovered[chosen].any()
+
+
+def test_uncovered_rows_track_gain_counts():
+    # p = 0.25 leaves both singleton and multi-vertex components in the
+    # undirected sketches; the directed graph adds reversed arcs.
+    g, dg, part = _uncovered_instance()
     undirected = sample_sketches(g, 40, 2)
     sizes = np.bincount(undirected.comp.ravel())
     assert (sizes == 1).any() and (sizes >= 2).any()
     for sk in (undirected, sample_sketches(dg, 40, 2)):
+        _check_uncovered_rows(sk, part, np.random.default_rng(5).permutation(g.n)[:12])
+
+
+def _one_shot_components(g, edge_masks):
+    """scipy's labels of one block-diagonal graph of every sketch's live arcs."""
+    R, n = len(edge_masks), g.n
+    src, dst = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    r, a = np.nonzero(edge_masks)
+    big = sp.csr_matrix((np.ones(len(a)), (r * n + src[a], r * n + dst[a])), shape=(R * n, R * n))
+    count, labels = connected_components(big, directed=g.directed, connection="strong")
+    return count, labels.reshape(R, n)
+
+
+def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
+    g, dg, part = _uncovered_instance()
+    R = 40
+    # Three sketches per chunk, so the last chunk holds one.
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
+    assert R % cascade._sketch_step(g.n) != 0
+    for graph in (g, dg):
+        sk = sample_sketches(graph, R, 2)
+        count, labels = _one_shot_components(graph, sk.edge_masks)
+        assert sk.items.count == count and np.array_equal(sk.items.comp, labels)
+        ev = sk.evaluator(part)
+        want = np.zeros((count, part.num_communities), dtype=np.int64)
+        np.add.at(want, (labels.ravel(), np.tile(part.labels, R)), 1)
+        assert ev.comp_comm.dtype == np.int32 and np.array_equal(ev.comp_comm, want)
+
+
+def test_uncovered_rows_track_gain_counts_across_chunks(monkeypatch):
+    # The first pick covers the most member rows, several of add's row chunks.
+    g, dg, part = _uncovered_instance()
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
+    per_chunk = cascade._CHUNK_BYTES // 8
+    for graph in (g, dg):
+        sk = sample_sketches(graph, 40, 2)
+        row_sizes = np.diff(sk.items.members.indptr)
+        rows = [row_sizes[sk.items.reached[v]].sum() for v in range(g.n)]
+        first = int(np.argmax(rows))
+        assert rows[first] > 2 * per_chunk
+        picks = [first, *np.random.default_rng(5).permutation(g.n)[:11]]
+        _check_uncovered_rows(sk, part, picks)
+
+
+def test_sketch_sets_die_without_the_cycle_collector():
+    # Neither an evaluator nor a coverage state refers back to its
+    # sketch set, so reference counting alone frees the set.
+    g, dg, part = _uncovered_instance()
+    gc.disable()
+    try:
+        for graph in (g, dg):
+            sk = sample_sketches(graph, 10, 0)
+            ev = sk.evaluator(part)
+            state = sk.coverage_state(part)
+            state.add(0)
+            alive = weakref.ref(sk)
+            del sk, ev, state
+            assert alive() is None, graph.directed
+    finally:
+        gc.enable()
+
+
+def test_sketch_pipeline_peak_bytes_per_pair():
+    # Sampling, the evaluator, the member index and five picks on an
+    # SBM-1500 with R = 600.  Labelling and counting in sketch chunks and
+    # decrementing in row chunks hold the traced peak near 23 bytes per
+    # (sketch, vertex) pair; one-shot labelling, an (R, n) int64 count key
+    # and one-shot decrements peaked near 30.
+    g, part = generate_sbm(SbmSpec((500, 500, 500), (0.012, 0.006, 0.006), 0.001), rng_seed=7)
+    R = 600
+    tracemalloc.start()
+    try:
+        sk = sample_sketches(g, R, 0)
         state = sk.coverage_state(part)
-        chosen = []
-        for v in [None, *np.random.default_rng(5).permutation(g.n)[:12]]:
-            if v is not None:
-                state.add(int(v))
-                chosen.append(int(v))
-            for u in range(g.n):
-                assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
-            assert not state.uncovered[chosen].any()
+        for v in np.argsort(-state.uncovered.sum(axis=1), kind="stable")[:5]:
+            state.add(int(v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * R * g.n, peak / (R * g.n)
 
 
 def _live_components(g, keep):

@@ -319,6 +319,8 @@ _SWEEP_CONFIG = {
         ({"alphas": [-2.0, 1.5]}, "alpha must be < 1, got 1.5"),
         ({"budgets": [2, 0]}, "budget must be >= 1"),
         ({"R": 0}, "sketch count must be >= 1"),
+        ({"budgets": []}, "at least one budget"),
+        ({"alphas": [], "baselines": []}, "at least one alpha or baseline"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):

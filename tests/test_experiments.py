@@ -126,6 +126,22 @@ def test_size_experiment_budget_scales_with_n():
     assert ks["ratio=3"] == 12  # n=120
 
 
+def test_size_study_writes_each_replication_row_once(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "size",
+        "sbm": {"community_sizes": [10, 10], "within_prob": 0.2, "between_prob": 0.05},
+        "budgets": [2, 5], "alphas": [], "replications": 2, "R": 20,
+    }))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    header, *body = csv.reader(io.StringIO(out.read_text()))
+    keys = [tuple(row[:3]) for row in body]  # (instance, replication, method)
+    assert len(keys) == len(set(keys)) == 9 * (2 + 2)  # 9 ratios, 2 replications + mean + std
+    ks = {row[0]: int(row[3]) for row in body}
+    assert ks["ratio=1"] == 2 and ks["ratio=9"] == 10  # n // 10
+
+
 def test_csv_round_trip():
     rows = run_sweep(_small_cfg())
     table = list(csv.reader(io.StringIO(rows_to_csv(rows))))

@@ -1,10 +1,13 @@
 """Selector tests: greedy, SATURATE baselines and the exhaustive oracle."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from fairspread import optimize
 from fairspread.cascade import UtilityVector, estimate_utilities, sample_sketches
 from fairspread.errors import EnumerationLimitError, InfeasibleError
 from fairspread.graph import (
@@ -248,6 +251,24 @@ def test_naive_greedy_and_saturate_dc_check_budget_like_select():
         bounds = DcBounds(bounds=(0.0, 0.0), budgets=(0, 0), k=k)
         with pytest.raises(InfeasibleError, match=f"^{message}$"):
             saturate_dc(sk, part, k, bounds)
+
+
+def test_dc_bounds_free_their_sketch_sets(monkeypatch):
+    g, part = _instance(2, sizes=(30, 15))
+    made = []
+
+    def recorded(*args):
+        sk = sample_sketches(*args)
+        made.append(weakref.ref(sk))
+        return sk
+
+    monkeypatch.setattr(optimize, "sample_sketches", recorded)
+    gc.disable()
+    try:
+        dc_lower_bounds(g, part, 6, R=50, master_seed=3)
+        assert len(made) == 2 and all(alive() is None for alive in made)
+    finally:
+        gc.enable()
 
 
 def test_dc_bounds_deterministic():
