@@ -38,8 +38,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-# Sketches seeded per chunk.  A chunk's states are held as Python ints;
-# an R-long list of them would pin heap pages during large sketch builds.
+# Most keep-mask rows drawn per block.  A block's states are held as
+# Python ints; an R-long list of them would pin heap pages during large
+# sketch builds.
 _SEED_CHUNK = 256
 
 # Reach masks of the exact oracle hold one bit per edge endpoint in a
@@ -143,23 +144,26 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
 
     Row i is ``np.random.default_rng((*key, i)).random(m) < p``, bit for
     bit.  Instead of a Generator per sketch, the SeedSequence states of
-    a chunk of sketches are hashed at once, and each is loaded into one
-    reused PCG64 as PCG's srandom_r would seed it.
+    all R sketches are hashed at once, and each is loaded into one reused
+    PCG64 as PCG's srandom_r would seed it.  A block of rows is drawn
+    into one buffer of about ``_CHUNK_BYTES``, at most ``_SEED_CHUNK``
+    rows, and thresholded by one comparison; the block's states become
+    Python ints only while it is drawn.
     """
-    key = _key_words(master_seed)
+    states = _seed_states(_key_words(master_seed), 0, R)
     masks = np.empty((R, m), dtype=bool)
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
-    draws = np.empty(m)
-    for lo in range(0, R, _SEED_CHUNK):
-        states = _seed_states(key, lo, min(_SEED_CHUNK, R - lo)).tolist()
-        for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(masks[lo:], states):
+    draws = np.empty((max(1, min(_SEED_CHUNK, _CHUNK_BYTES // (8 * max(m, 1)))), m))
+    for lo in range(0, R, len(draws)):
+        block = states[lo : lo + len(draws)].tolist()
+        for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(draws, block):
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
             state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
-            rng.random(out=draws)
-            np.less(draws, p, out=row)
+            rng.random(out=row)
+        np.less(draws[: len(block)], p, out=masks[lo : lo + len(block)])
     return masks
 
 
@@ -168,38 +172,72 @@ def _sketch_step(n: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n))
 
 
+def _vertex_dtype(R: int, n: int):
+    """Index dtype of the R * n sketch vertices: int32 while it fits."""
+    return np.int32 if R * n < 2**31 else np.int64
+
+
+def _live_arcs(graph: Graph, edge_masks: np.ndarray):
+    """The live arcs of one chunk of ``_sketch_step(n)`` sketches at a time.
+
+    Yields (first, last, tail, head): the chunk's sketches [first, last)
+    and its live arcs as vertices of one block-diagonal graph, where
+    sketch first + r's vertex v is vertex r * n + v.  The edge list is
+    sorted once by (tail, head), so the arcs come out ordered by tail
+    and, for one tail, by head: the order of a canonical CSR matrix.
+    """
+    R, n = len(edge_masks), graph.n
+    index = _vertex_dtype(R, n)
+    edges = np.array(graph.edges, dtype=index).reshape(-1, 2)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    src, dst = edges[order].T
+    step = _sketch_step(n)
+    for lo in range(0, R, step):
+        chunk = edge_masks[lo : lo + step]
+        # Yielded without a name, so the consumer alone holds the arcs.
+        yield lo, lo + len(chunk), *_block_arcs(chunk, order, src, dst, n)
+
+
+def _block_arcs(chunk, order, src, dst, n):
+    """(tail, head) of the live arcs of a chunk of keep-masks whose
+    columns, taken in ``order``, are the arcs (src, dst)."""
+    # Flat positions stay int64: a chunk may hold more than 2**31 of them.
+    r, a = np.divmod(np.flatnonzero(chunk[:, order]), len(order))
+    r = r.astype(src.dtype)
+    r *= n
+    tail, head = src[a], dst[a]
+    del a
+    tail += r
+    head += r
+    return tail, head
+
+
 def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndarray]:
     """Strongly connected components of every sketch's live arcs.
 
     Returns their number and their (R, n) labels, which are unique across
     sketches: each sketch's labels form one range, which precedes the
-    next sketch's.  A chunk of sketches is labelled at a time: sketch r's
-    vertex v is vertex r * n + v of one block-diagonal graph of the
-    chunk's live arcs, and the chunk's labels are offset by the count of
-    the chunks before it.  An undirected graph's strongly connected
-    components are its components.
+    next sketch's.  Each chunk of ``_live_arcs`` is labelled as one
+    graph, and its labels are offset by the count of the chunks before
+    it.  Its arcs are already in CSR order, so the block is built as a
+    CSR matrix directly, its row pointers counted from the tails: the
+    canonical matrix, with no sort.  An undirected graph's strongly
+    connected components are its components.
     """
     R, n = len(edge_masks), graph.n
-    index = np.int32 if R * n < 2**31 else np.int64
-    src, dst = np.array(graph.edges, dtype=index).reshape(-1, 2).T
-    comp = np.empty((R, n), dtype=index)
-    step = _sketch_step(n)
+    comp = np.empty((R, n), dtype=_vertex_dtype(R, n))
     count = 0
-    for lo in range(0, R, step):
-        chunk = edge_masks[lo : lo + step]
-        size = len(chunk) * n
-        r, a = np.nonzero(chunk)
-        r = r.astype(index) * n
-        rows = r + src[a]
-        r += dst[a]
-        del a
+    for lo, hi, tail, head in _live_arcs(graph, edge_masks):
+        size = (hi - lo) * n
+        indptr = np.zeros(size + 1, dtype=comp.dtype)
+        np.cumsum(np.bincount(tail, minlength=size), out=indptr[1:])
         # float64 weights, connected_components' dtype, spare it a copy.
-        block = sp.csr_matrix((np.ones(len(rows)), (rows, r)), shape=(size, size))
-        del rows, r
+        block = sp.csr_matrix((np.ones(len(head)), head, indptr), shape=(size, size))
+        del tail, head
         found, labels = connected_components(block, directed=graph.directed,
                                              connection="strong")
-        comp[lo : lo + step] = labels.reshape(-1, n)
-        comp[lo : lo + step] += count
+        comp[lo:hi] = labels.reshape(-1, n)
+        comp[lo:hi] += count
         count += int(found)
     return count, comp
 
@@ -244,7 +282,7 @@ class _Items:
         """
         R, n = self.comp.shape
         indices = np.empty(R * n, dtype=np.int32)
-        indptr = np.zeros(self.count + 1, dtype=np.int64)
+        indptr = np.zeros(self.count + 1, dtype=self.comp.dtype)
         vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (_sketch_step(n), n))
         for r, labels, lo, hi in self.sketch_chunks():
             pairs = (labels.ravel() - lo, vertex[: len(labels)].ravel())
@@ -321,12 +359,17 @@ class DirectedSketchSet(_SketchSet):
         the live arcs between them.  Estimates need neither (see
         estimate_utilities)."""
         count, comp = _live_components(self.graph, self.edge_masks)
-        src, dst = np.array(self.graph.edges).reshape(-1, 2).T
-        r, a = np.nonzero(self.edge_masks)
-        tail, head = comp[r, src[a]], comp[r, dst[a]]
-        cross = tail != head
-        arcs = sp.csr_matrix((np.ones(np.count_nonzero(cross), dtype=bool),
-                              (head[cross], tail[cross])), shape=(count, count))
+        labels, n = comp.ravel(), self.graph.n
+        heads, tails = [], []
+        for lo, _, tail, head in _live_arcs(self.graph, self.edge_masks):
+            first = lo * n  # the chunk's first entry of labels
+            tail, head = labels[first + tail], labels[first + head]
+            cross = tail != head
+            heads.append(head[cross])
+            tails.append(tail[cross])
+        head, tail = np.concatenate(heads), np.concatenate(tails)
+        arcs = sp.csr_matrix((np.ones(len(head), dtype=bool), (head, tail)),
+                             shape=(count, count))
         return _Items(count, comp, arcs)
 
 

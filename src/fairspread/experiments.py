@@ -38,15 +38,25 @@ class ExperimentConfig:
     replications: int = 20
     master_seed: int = 0
     R: int = 1000
-    p: float = 0.25
+    p: float | None = None  # SBM graphs' propagation probability, 0.25 if None
 
     def __post_init__(self):
         if self.replications < 1:
             raise GraphFormatError("replications must be >= 1")
         if (self.sbm is None) == (self.graph is None):
             raise GraphFormatError("exactly one of sbm or graph must be given")
-        if self.graph is not None and self.partition is None:
+        if self.graph is None:
+            p = 0.25 if self.p is None else self.p
+        elif self.partition is None:
             raise GraphFormatError("a fixed graph needs a community partition")
+        elif self.p is not None:
+            raise GraphFormatError("p must not be given with a fixed graph, "
+                                   "which carries its own p")
+        else:
+            p = self.graph.p  # the p its sketches use, which the config records
+        if not 0.0 <= p <= 1.0:
+            raise GraphFormatError(f"propagation probability {p} outside [0, 1]")
+        object.__setattr__(self, "p", p)
         for b in self.baselines:
             if b not in BASELINES:
                 raise GraphFormatError(f"unknown baseline '{b}'")

@@ -88,6 +88,18 @@ def test_sketch_masks_match_default_rng(key):
         assert np.array_equal(sample_sketches(h, 3, key).edge_masks, _default_rng_masks(h, 3, key))
 
 
+@pytest.mark.parametrize("m", [40, 6000])
+def test_sketch_masks_match_default_rng_across_blocks(m):
+    # Rows are drawn and thresholded in blocks of at most _SEED_CHUNK rows
+    # and about _CHUNK_BYTES of draws: 256 rows at m = 40, 21 at m = 6000.
+    # R is a multiple of neither, so both leave a partial last block.
+    R = 2 * cascade._SEED_CHUNK + 3
+    assert R % 21 and R % cascade._SEED_CHUNK
+    key = (5, 2**33)
+    want = np.array([np.random.default_rng((*key, i)).random(m) < 0.3 for i in range(R)])
+    assert np.array_equal(cascade._sketch_masks(m, 0.3, R, key), want)
+
+
 def test_dispatch_by_directedness():
     gu = Graph(n=3, edges=((0, 1),), directed=False, p=0.5)
     gd = Graph(n=3, edges=((0, 1),), directed=True, p=0.5)
@@ -180,16 +192,36 @@ def _one_shot_components(g, edge_masks):
     return count, labels.reshape(R, n)
 
 
+def _shuffled_edge_lists(g, dg):
+    """g and dg with their edge lists permuted, g's edges in random orientations."""
+    rng = np.random.default_rng(8)
+    flipped = [(v, u) if flip else (u, v)
+               for (u, v), flip in zip(g.edges, rng.integers(0, 2, len(g.edges)))]
+    return (Graph(n=g.n, edges=tuple(flipped[i] for i in rng.permutation(len(flipped))), p=g.p),
+            Graph(n=dg.n, edges=tuple(dg.edges[i] for i in rng.permutation(len(dg.edges))),
+                  directed=True, p=dg.p))
+
+
 def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
+    # Each chunk's block is built in (tail, head) order from one sort of
+    # the edge list, so shuffled edge lists must give the same labels.
     g, dg, part = _uncovered_instance()
     R = 40
     # Three sketches per chunk, so the last chunk holds one.
     monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
     assert R % cascade._sketch_step(g.n) != 0
-    for graph in (g, dg):
+    for graph in (g, dg, *_shuffled_edge_lists(g, dg)):
         sk = sample_sketches(graph, R, 2)
         count, labels = _one_shot_components(graph, sk.edge_masks)
         assert sk.items.count == count and np.array_equal(sk.items.comp, labels)
+        if graph.directed:  # the arcs between SCCs, from every live arc at once
+            src, dst = np.array(graph.edges).T
+            r, a = np.nonzero(sk.edge_masks)
+            tail, head = labels[r, src[a]], labels[r, dst[a]]
+            cross = tail != head
+            want = sp.csr_matrix((np.ones(np.count_nonzero(cross), dtype=bool),
+                                  (head[cross], tail[cross])), shape=(count, count))
+            assert (sk.items.arcs != want).nnz == 0
         ev = sk.evaluator(part)
         want = np.zeros((count, part.num_communities), dtype=np.int64)
         np.add.at(want, (labels.ravel(), np.tile(part.labels, R)), 1)
@@ -247,6 +279,24 @@ def test_sketch_pipeline_peak_bytes_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < 27 * R * g.n, peak / (R * g.n)
+
+
+def test_member_index_build_peak_stays_near_its_bytes(monkeypatch):
+    # The index's row pointers are filled in its own index dtype, so the
+    # build holds little beyond the index and one chunk's temporaries
+    # (ten sketches here: 4% of the index); an int64 indptr copied to
+    # int32 added about half of the index's bytes.
+    g, _ = generate_sbm(SbmSpec((500, 500, 500), (0.012, 0.006, 0.006), 0.001), rng_seed=7)
+    sk = sample_sketches(g, 600, 0)
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 10)
+    tracemalloc.start()
+    try:
+        members = sk.items.members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = members.data.nbytes + members.indices.nbytes + members.indptr.nbytes
+    assert peak - held < held / 4, (peak, held)
 
 
 def _live_components(g, keep):

@@ -1,5 +1,6 @@
 """CLI surface tests via the in-process entry point."""
 
+import csv
 import json
 
 import pytest
@@ -298,6 +299,11 @@ _SWEEP_CONFIG = {
     "R": 20,
 }
 
+# A path, a triangle and an isolated vertex over two communities.
+_SWEEP_GRAPH = {"n": 7, "directed": False, "p": 0.4,
+                "edges": [[0, 1], [1, 2], [3, 4], [4, 5], [3, 5]],
+                "communities": [0, 0, 0, 1, 1, 1, 1]}
+
 
 @pytest.mark.parametrize(
     "change, message",
@@ -321,22 +327,44 @@ _SWEEP_CONFIG = {
         ({"R": 0}, "sketch count must be >= 1"),
         ({"budgets": []}, "at least one budget"),
         ({"alphas": [], "baselines": []}, "at least one alpha or baseline"),
+        ({"p": 1.5}, "propagation probability 1.5 outside [0, 1]"),
+        ({"p": -0.25}, "propagation probability -0.25 outside [0, 1]"),
+        # A None value removes the key: a fixed graph runs at its own p.
+        ({"sbm": None, "p": 0.9, "graph": _SWEEP_GRAPH}, "p must not be given with a fixed"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_SWEEP_CONFIG))
     assert main(["sweep", "--config", str(path)]) == 0  # the unmodified config is valid
-    path.write_text(json.dumps({**_SWEEP_CONFIG, **change}))
+    doc = {key: value for key, value in {**_SWEEP_CONFIG, **change}.items() if value is not None}
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
 
-    def no_graph(*args, **kwargs):
-        raise AssertionError("a graph was generated before the config was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("a graph was generated or sketched before the config was checked")
 
-    monkeypatch.setattr(experiments, "generate_sbm", no_graph)
+    monkeypatch.setattr(experiments, "generate_sbm", no_work)
+    monkeypatch.setattr(experiments, "sample_sketches", no_work)
     # An infeasible budget exits 4, as it does for select; any other fault is a format error.
     assert main(["sweep", "--config", str(path)]) == (4 if message.startswith("budget") else 3)
     assert message in capsys.readouterr().err
+
+
+def test_fixed_graph_sweep_records_the_graphs_p(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    doc = {key: value for key, value in _SWEEP_CONFIG.items() if key != "sbm"}
+    config.write_text(json.dumps(doc | {"graph": _SWEEP_GRAPH}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
+    assert meta["p"] == 0.4 and "sbm" not in meta
+    # The sketches use the graph's p: a graph at p = 0 covers only the seeds.
+    config.write_text(json.dumps(doc | {"graph": _SWEEP_GRAPH | {"p": 0.0}}))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "rows.csv.meta.json").read_text())["p"] == 0.0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {float(r["total"]) for r in rows if r["replication"] == "0"} == {2.0}
 
 
 def test_sweep_config_root_must_be_an_object(tmp_path, capsys):
