@@ -99,16 +99,16 @@ def _key_words(key) -> list[int]:
     return words
 
 
-def _seed_states(key: list[int], first: int, count: int) -> np.ndarray:
+def _seed_states(key: list[int], count: int) -> np.ndarray:
     """(count, 4) uint64: ``SeedSequence((*key, i)).generate_state(4, np.uint64)``
-    for i = first, ..., first + count - 1, with key given as its words.
+    for i = 0, ..., count - 1, with key given as its words.
 
     numpy's SeedSequence mixing (pool of four uint32 words, no spawn key)
     on uint32 lanes, one lane per sketch; i < 2**32 is one entropy word.
     """
     entropy = np.zeros((max(len(key) + 1, _POOL_SIZE), count), dtype=np.uint32)
     entropy[: len(key)] = np.array(key, dtype=np.uint32)[:, None]
-    entropy[len(key)] = np.arange(first, first + count)
+    entropy[len(key)] = np.arange(count)
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -150,13 +150,14 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     rows, and thresholded by one comparison; the block's states become
     Python ints only while it is drawn.
     """
-    states = _seed_states(_key_words(master_seed), 0, R)
+    states = _seed_states(_key_words(master_seed), R)
     masks = np.empty((R, m), dtype=bool)
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
-    draws = np.empty((max(1, min(_SEED_CHUNK, _CHUNK_BYTES // (8 * max(m, 1)))), m))
-    for lo in range(0, R, len(draws)):
-        block = states[lo : lo + len(draws)].tolist()
+    rows = max(1, min(_SEED_CHUNK, _CHUNK_BYTES // (8 * max(m, 1))))
+    draws = np.empty((rows, m))
+    for lo in range(0, R, rows):
+        block = states[lo : lo + rows].tolist()
         for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(draws, block):
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
             state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
