@@ -43,8 +43,8 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # sketch builds.
 _SEED_CHUNK = 256
 
-# Reach masks of the exact oracle hold one bit per edge endpoint in a
-# uint64, so 2 * EXACT_COIN_LIMIT <= 64 must hold.
+# Most coins the exact oracle enumerates: a reach table row then holds
+# 2**20 subset bits (128 KiB).
 EXACT_COIN_LIMIT = 20
 
 
@@ -546,18 +546,6 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
 # --- exact oracle -----------------------------------------------------------
 
 
-def _reachable(adj: list[list[int]], seeds) -> set[int]:
-    active = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in active:
-                active.add(v)
-                stack.append(v)
-    return active
-
-
 def _coin_weights(p: float, m: int) -> list[Fraction]:
     """Probability of one live-edge subset with j of its m coins live, j = 0..m.
 
@@ -569,66 +557,100 @@ def _coin_weights(p: float, m: int) -> list[Fraction]:
 
 
 class _LiveEdgeSubsets:
-    """All 2^m live-edge subsets of a graph with at most EXACT_COIN_LIMIT coins.
+    """All live-edge subsets of a graph, and reach tables over them.
 
-    Each undirected edge is a single coin (both directions), each
-    directed arc its own coin; subset s keeps coin a iff bit a of s is
-    set.  A reach mask has bit i set iff the i-th smallest edge endpoint
-    is reached.  A vertex touching no edge reaches only itself in every
-    subset, so it has no bit and adds a constant 1 to its community.
+    When 0 < p < 1 each edge is a coin and subset s keeps coin a iff bit
+    a of s is set; at p = 1 every edge is live and at p = 0 none is, in
+    the one subset there is.  A reach table has one row per endpoint of
+    a live edge and one bit per subset in uint64 words.  The subsets are
+    grouped by their number of live coins, each group starting on a
+    word, so a row's reach count per group is one ``np.bitwise_count``
+    and one ``np.add.reduceat``.  A vertex on no live edge (``row`` -1)
+    reaches only itself in every subset: a constant 1 for its community.
     """
 
     def __init__(self, g: Graph, part: CommunityPartition):
-        m = len(g.edges)
-        if m > EXACT_COIN_LIMIT:
+        if len(part.labels) != g.n:
+            raise GraphFormatError("community partition does not match graph")
+        live = g.edges if g.p > 0 else ()
+        coins = len(live) if g.p < 1 else 0
+        if coins > EXACT_COIN_LIMIT:
             raise EnumerationLimitError(
-                f"{m} coins exceed the enumeration limit {EXACT_COIN_LIMIT} "
+                f"{coins} coins exceed the enumeration limit {EXACT_COIN_LIMIT} "
                 "with p not in {0, 1}"
             )
         self.part = part
-        self.endpoints = sorted({u for e in g.edges for u in e})
-        self.bit = {v: i for i, v in enumerate(self.endpoints)}
-        self.arcs = [(a, self.bit[u], self.bit[v]) for a, (u, v) in enumerate(g.edges)]
-        if not g.directed:
-            self.arcs += [(a, v, u) for a, u, v in self.arcs]
-        comm_masks = [0] * part.num_communities
-        for v, i in self.bit.items():
-            comm_masks[part.labels[v]] |= 1 << i
-        self.comm_masks = np.array(comm_masks, dtype=np.uint64)
-        self.num_subsets = 1 << m
-        # Subsets ordered by their number of live coins; group j starts
-        # at by_coins[j] (every group is non-empty).
-        coins = np.bitwise_count(np.arange(self.num_subsets, dtype=np.uint64))
-        self.order = np.argsort(coins, kind="stable")
-        self.by_coins = np.searchsorted(coins[self.order], np.arange(m + 1))
-        self.weights = _coin_weights(g.p, m)
+        ends = np.array(live, dtype=np.int64).reshape(-1, 2)
+        self.endpoints = np.unique(ends)
+        self.row = np.full(g.n, -1)
+        self.row[self.endpoints] = np.arange(len(self.endpoints))
+        labels = np.asarray(part.labels)[self.endpoints]
+        self.onehot = np.equal.outer(np.arange(part.num_communities), labels).astype(np.int64)
+        # Group j holds the C(coins, j) subsets with j live coins, padded
+        # to whole words; subset[b] is the subset at bit b, 2^coins in padding.
+        group = np.bitwise_count(np.arange(1 << coins, dtype=np.uint32))
+        sizes = np.bincount(group)
+        words = -(-sizes // 64)
+        self.offsets = np.cumsum(words) - words
+        padding = np.repeat(np.arange(coins + 1, dtype=group.dtype), 64 * words - sizes)
+        subset = np.r_[np.arange(1 << coins), np.full(len(padding), 1 << coins)].astype(np.uint32)
+        subset = subset[np.argsort(np.r_[group, padding], kind="stable")]
+        self.full = np.packbits(subset < 1 << coins).view(np.uint64)  # reached in every subset
+        keep = np.full((len(live), len(self.full)), np.iinfo(np.uint64).max, dtype=np.uint64)
+        for a in range(coins):
+            keep[a] = np.packbits((subset >> a) & 1 != 0).view(np.uint64)
+        self.sizes, self.weights = sizes, _coin_weights(g.p, coins)
+        if not g.directed:  # both directions of an edge share its coin
+            ends, keep = np.r_[ends, ends[:, ::-1]], np.r_[keep, keep]
+        # The arcs by tail row: row u's out-arcs are [first[u], first[u] + degree[u]).
+        tail, head = self.row[ends].T
+        by_tail = np.argsort(tail, kind="stable")
+        self.head, self.arc_keep = head[by_tail], keep[by_tail]
+        self.degree = np.bincount(tail, minlength=len(self.endpoints))
+        self.first = np.cumsum(self.degree) - self.degree
 
     def reach(self, starts) -> np.ndarray:
-        """(len(starts), 2^m) reach masks of each start vertex set in every subset."""
-        reach = np.zeros((len(starts), self.num_subsets), dtype=np.uint64)
-        for row, start in zip(reach, starts):
-            row[:] = sum(1 << self.bit[v] for v in start if v in self.bit)
-            while True:
-                before = row.copy()
-                for a, u, v in self.arcs:
-                    live = row.reshape(-1, 2, 1 << a)[:, 1, :]  # subsets keeping coin a
-                    live |= ((live >> u) & 1) << v
-                if np.array_equal(row, before):
-                    break
-        return reach
+        """(len(starts), rows, words) reach tables of each start vertex set.
 
-    def utilities(self, cover: np.ndarray, seeds) -> UtilityVector:
-        """Exact utilities of a seed set whose reach masks are ``cover``."""
-        hits = np.bitwise_count(cover[self.order, None] & self.comm_masks)
-        counts = np.add.reduceat(hits, self.by_coins, axis=0, dtype=np.int64)
-        isolated = [0] * self.part.num_communities
-        for v in seeds:
-            if v not in self.bit:
-                isolated[self.part.labels[v]] += 1
-        values = tuple(
-            Fraction(sum(int(n) * w for n, w in zip(counts[:, c], self.weights)) + iso, n_c)
-            for c, (iso, n_c) in enumerate(zip(isolated, self.part.sizes))
-        )
+        All start sets propagate together from one queue of the (start,
+        row) pairs whose bits changed.  A batch of pairs, whose arcs fill
+        about ``_CHUNK_BYTES`` of rows, ANDs each row with the keep-masks of
+        its out-arcs and ORs the results into the heads' rows; the rows
+        that grew join the queue, so an arc is followed again only after
+        its tail has gained subsets.
+        """
+        E, W = len(self.endpoints), len(self.full)
+        table = np.zeros((len(starts) * E, W), dtype=np.uint64)
+        queue = np.array([i * E + self.row[v] for i, start in enumerate(starts) for v in start
+                          if self.row[v] >= 0], dtype=np.int64)
+        table[queue] = self.full
+        batch = max(1, _CHUNK_BYTES // (8 * W * self.degree.max(initial=1)))
+        while len(queue):
+            pairs, queue = queue[:batch], queue[batch:]
+            tail = pairs % E
+            degree = self.degree[tail]
+            ends = degree.cumsum()
+            arc = np.arange(ends[-1]) + (self.first[tail] - ends + degree).repeat(degree)
+            dst = (pairs - tail).repeat(degree) + self.head[arc]
+            by_head = dst.argsort()
+            rows, cut = np.unique(dst[by_head], return_index=True)
+            old = table[rows]
+            new = table[pairs.repeat(degree)[by_head]] & self.arc_keep[arc[by_head]]
+            new = np.bitwise_or.reduceat(new, cut, axis=0) | old
+            grew = (new != old).any(axis=1)
+            table[rows[grew]] = new[grew]
+            queue = np.concatenate([queue, rows[grew]])
+        return table.reshape(len(starts), E, W)
+
+    def utilities(self, table: np.ndarray, seeds) -> UtilityVector:
+        """Exact utilities of a seed set whose reach table is ``table``."""
+        reached = np.add.reduceat(np.bitwise_count(table), self.offsets, axis=1, dtype=np.int64)
+        alone = [self.part.labels[v] for v in seeds if self.row[v] < 0]
+        isolated = np.bincount(alone, minlength=self.part.num_communities)
+        # (C, groups) reached (subset, vertex) pairs; a seed with no row counts in all
+        counts = self.onehot @ reached + np.outer(isolated, self.sizes)
+        values = tuple(Fraction(sum(int(n) * w for n, w in zip(row, self.weights)), n_c)
+                       for row, n_c in zip(counts, self.part.sizes))
         return UtilityVector(values=values, sizes=self.part.sizes)
 
 
@@ -637,20 +659,8 @@ def exact_utilities(g: Graph, seeds: SeedSet, part: CommunityPartition) -> Utili
 
     Each undirected edge is a single coin (both directions), each
     directed arc its own coin.  Requires at most EXACT_COIN_LIMIT coins
-    unless p is 0 or 1, in which case plain reachability applies at any
-    size.
+    unless p is 0 or 1, where no edge is a coin.
     """
     seeds.check_ids(g.n)
-    if len(part.labels) != g.n:
-        raise GraphFormatError("community partition does not match graph")
-    sizes = part.sizes
-    if g.p == 0.0 or g.p == 1.0:
-        adj = g.out_neighbors() if g.p == 1.0 else [[] for _ in range(g.n)]
-        active = _reachable(adj, seeds.vertices)
-        counts = [0] * part.num_communities
-        for v in active:
-            counts[part.labels[v]] += 1
-        values = tuple(Fraction(c, n_c) for c, n_c in zip(counts, sizes))
-        return UtilityVector(values=values, sizes=sizes)
     subsets = _LiveEdgeSubsets(g, part)
     return subsets.utilities(subsets.reach([seeds.vertices])[0], seeds.vertices)

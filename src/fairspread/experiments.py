@@ -88,7 +88,7 @@ class ResultRow:
     dc_feasible: float | None = None  # dc rows: 1.0 if every DC bound was met, else 0.0
 
 
-def _method_rows(sk, part, k, alphas, baselines, dc_key, instance, replication):
+def _method_rows(sk, part, k, alphas, baselines, instance, replication):
     """All selections for one instance and budget on one sketch set.
 
     The utilitarian selection always runs: its total is every row's PoF
@@ -98,7 +98,7 @@ def _method_rows(sk, part, k, alphas, baselines, dc_key, instance, replication):
     runs += [(b, None) for b in BASELINES[1:] if b in baselines]
     rows = []
     for method, alpha in runs:
-        seeds, extra = select_seeds(sk, part, k, method, alpha, dc_key)
+        seeds, extra = select_seeds(sk, part, k, method, alpha)
         u = estimate_utilities(sk, seeds, part)
         if method == "utilitarian":
             im_total = total_influence(u)
@@ -133,8 +133,7 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
             g, part = cfg.graph, cfg.partition
         sk = sample_sketches(g, cfg.R, seed_key)
         for k in cfg.budgets:
-            rows += _method_rows(sk, part, k, cfg.alphas, cfg.baselines, (*seed_key, 1),
-                                 instance, str(rep))
+            rows += _method_rows(sk, part, k, cfg.alphas, cfg.baselines, instance, str(rep))
     rows.extend(_aggregate(rows))
     return rows
 

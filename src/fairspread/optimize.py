@@ -27,7 +27,6 @@ from .cascade import (
     UtilityVector,
     _LiveEdgeSubsets,
     estimate_utilities,
-    exact_utilities,
     sample_sketches,
 )
 from .errors import EnumerationLimitError, GraphFormatError, InfeasibleError
@@ -319,7 +318,6 @@ def dc_lower_bounds(
     if k > g.n:
         raise InfeasibleError(f"budget {k} exceeds vertex count {g.n}")
     n = g.n
-    key = master_seed if isinstance(master_seed, (tuple, list)) else (master_seed,)
     bounds = []
     budgets = []
     for c in range(part.num_communities):
@@ -330,7 +328,7 @@ def dc_lower_bounds(
             continue
         sub, _members = induced_within_community_subgraph(g, part, c)
         sub_part = CommunityPartition(labels=(0,) * sub.n)
-        sk_c = sample_sketches(sub, R, (*key, c))
+        sk_c = sample_sketches(sub, R, (master_seed, c))  # master_seed's words, then c
         seeds, _ = greedy_utilitarian(sk_c, sub_part, budget)
         u = estimate_utilities(sk_c, seeds, sub_part)
         bounds.append(float(u.values[0]))
@@ -369,13 +367,14 @@ def saturate_dc(
 
 
 def select_seeds(
-    sk: SketchSet, part: CommunityPartition, k: int, method: str, alpha, dc_key
+    sk: SketchSet, part: CommunityPartition, k: int, method: str, alpha
 ) -> tuple[SeedSet, dict]:
     """Budget-k seeds of one of METHODS, plus the extras its report carries.
 
     welfare uses alpha with the standard floor; maximin reports
     SATURATE's gamma; dc computes its bounds on R fresh sketches per
-    community keyed by dc_key and reports them with their feasibility.
+    community keyed by (sk.master_seed, 1) and reports them with their
+    feasibility.
     """
     if method == "welfare":
         seeds, _ = greedy_welfare(sk, part, k, default_params(alpha, sk.graph.n))
@@ -387,7 +386,7 @@ def select_seeds(
         seeds, gamma = saturate_maximin(sk, part, k)
         return seeds, {"gamma": gamma}
     if method == "dc":
-        bounds = dc_lower_bounds(sk.graph, part, k, sk.R, dc_key)
+        bounds = dc_lower_bounds(sk.graph, part, k, sk.R, (sk.master_seed, 1))
         seeds, feasible = saturate_dc(sk, part, k, bounds)
         return seeds, {"dc_bounds": list(bounds.bounds), "dc_feasible": feasible}
     raise InfeasibleError(f"unknown method '{method}'")
@@ -418,22 +417,13 @@ def enumerate_seed_set_utilities(
             yield combo, estimate_utilities(sketches, seeds, part)
         return
 
-    if g.p in (0.0, 1.0):
-        for combo in combinations(range(g.n), k):
-            seeds = SeedSet(vertices=frozenset(combo), k=max(k, 1))
-            yield combo, exact_utilities(g, seeds, part)
-        return
-
-    # Enumerate coin subsets once; the reach of a seed set is the union
-    # of its members' singleton reaches.
+    # The reach table of a seed set is the union of its members' single-
+    # vertex tables; the last, an empty start's, serves row -1.
     subsets = _LiveEdgeSubsets(g, part)
-    singles = dict(zip(subsets.endpoints, subsets.reach([[v] for v in subsets.endpoints])))
+    singles = subsets.reach([[v] for v in subsets.endpoints] + [[]])
     for combo in combinations(range(g.n), k):
-        cover = np.zeros(subsets.num_subsets, dtype=np.uint64)
-        for v in combo:
-            if v in singles:
-                cover |= singles[v]
-        yield combo, subsets.utilities(cover, combo)
+        table = np.bitwise_or.reduce(singles[subsets.row[list(combo)]], axis=0)
+        yield combo, subsets.utilities(table, combo)
 
 
 def exhaustive_opt(

@@ -156,17 +156,14 @@ def _joint_ascending_order(u, v):
 
 def _transfer_prefers(u, v, sizes, order) -> bool:
     """True if the influence transfer premise mandates v over u."""
-    acc = 0.0
+    acc = 0
     strict = False
-    ok = True
     for c in order:
-        acc += sizes[c] * (float(v[c]) - float(u[c]))
+        acc += sizes[c] * (v[c] - u[c])
         if acc < 0:
-            ok = False
-            break
-        if v[c] > u[c]:
-            strict = True
-    return ok and strict
+            return False
+        strict = strict or v[c] > u[c]
+    return strict
 
 
 def check_influence_transfer(u: UtilityVector, v: UtilityVector) -> PrincipleVerdict:

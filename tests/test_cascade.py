@@ -1,6 +1,8 @@
 """Diffusion, sketch estimation and exact oracle tests."""
 
+import dataclasses
 import gc
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -627,10 +629,12 @@ def _random_exact_instance(rng, directed, n, m):
 
 def test_exact_oracle_and_exhaustive_table_match_loop_reference():
     rng = np.random.default_rng(2024)
-    for i in range(20):
+    for i in range(24):
         g, part = _random_exact_instance(
             rng, directed=bool(i % 2), n=int(rng.integers(4, 9)), m=int(rng.integers(0, 11))
         )
+        if i >= 20:  # one live-edge subset: no edge live, or every edge
+            g = dataclasses.replace(g, p=(0.0, 1.0)[i // 2 % 2])
         for size in (1, 2, 3):
             vs = frozenset(int(v) for v in rng.choice(g.n, size=size, replace=False))
             got = exact_utilities(g, SeedSet(vs, size), part).values
@@ -640,6 +644,45 @@ def test_exact_oracle_and_exhaustive_table_match_loop_reference():
         for combo, u in enumerate_seed_set_utilities(g, part, k):
             assert u.values == _exact_by_loop(g, combo, part), (i, g, combo)
             assert all(isinstance(x, Fraction) for x in u.values)
+
+
+def _dfs_utilities(g, seeds, part):
+    """Reference utilities at p = 1 (every edge live) and p = 0 (none)."""
+    adj = g.out_neighbors() if g.p == 1 else [[] for _ in range(g.n)]
+    reached, stack = set(seeds), list(seeds)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    counts = [0] * part.num_communities
+    for v in reached:
+        counts[part.labels[v]] += 1
+    return tuple(Fraction(c, n_c) for c, n_c in zip(counts, part.sizes))
+
+
+def test_exact_oracle_on_long_paths_in_any_edge_order():
+    # Sweeping the arcs in list order until nothing changes takes one
+    # sweep per step along a path whose edges come in reverse order; the
+    # worklist follows an arc again only when its tail's row has grown.
+    n = 1000
+    rng = np.random.default_rng(17)
+    part = CommunityPartition(labels=tuple(v % 3 for v in range(n)))
+    path = [(v, v + 1) for v in range(n - 1)]
+    shuffled = [path[i] for i in rng.permutation(n - 1)]
+    for directed in (False, True):
+        for edges in (path[::-1], shuffled):
+            for p in (1.0, 0.0):
+                g = Graph(n=n, edges=tuple(edges), directed=directed, p=p)
+                t0 = time.perf_counter()
+                one = exact_utilities(g, SeedSet(frozenset({0}), 1), part).values
+                singles = list(enumerate_seed_set_utilities(g, part, 1))
+                elapsed = time.perf_counter() - t0
+                assert elapsed < 2.0, (directed, p, elapsed)
+                assert one == _dfs_utilities(g, {0}, part)
+                assert len(singles) == n
+                for combo, u in singles:
+                    assert u.values == _dfs_utilities(g, combo, part), combo
 
 
 def test_exact_oracle_with_isolated_seeds_beyond_64_vertices():

@@ -278,6 +278,16 @@ def test_dc_bounds_deterministic():
     assert b1 == b2
 
 
+def test_dc_bounds_are_keyed_by_the_sketch_set():
+    # select and sweep key DC's sketches by their sketch set's own key
+    # followed by 1, for an integer and for a tuple key alike
+    g, part = _instance(2, sizes=(30, 15))
+    for key, flat in ((7, (7, 1)), ((7, 0, 2), (7, 0, 2, 1))):
+        sk = sample_sketches(g, 60, key)
+        _, extra = optimize.select_seeds(sk, part, 6, "dc", None)
+        assert extra["dc_bounds"] == list(dc_lower_bounds(g, part, 6, 60, flat).bounds)
+
+
 def test_saturate_dc_feasible_on_easy_instance():
     g, part = _instance(5, sizes=(20, 20), q=0.2, between=0.05)
     sk = sample_sketches(g, 300, 5)

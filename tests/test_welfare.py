@@ -127,6 +127,17 @@ def test_influence_transfer_weighted_prefix():
     assert not (verdict.applicable and verdict.preferred == "second")
 
 
+def test_influence_transfer_exact_on_fractions():
+    # the exact prefix sums are 1/10 and 0; in floats the second reads
+    # 0.3 - 0.2 + 0.7 - 0.8 < 0, which would make the pair incomparable
+    u = UtilityVector(values=(Fraction(2, 10), Fraction(8, 10)), sizes=(1, 1))
+    v = UtilityVector(values=(Fraction(3, 10), Fraction(7, 10)), sizes=(1, 1))
+    verdict = check_influence_transfer(u, v)
+    assert verdict.applicable and verdict.preferred == "second"
+    verdict = check_influence_transfer(v, u)
+    assert verdict.applicable and verdict.preferred == "first"
+
+
 def test_gap_reduction():
     u = _u((0.4, 0.6))
     v = _u((0.45, 0.55))
