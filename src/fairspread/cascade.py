@@ -11,6 +11,10 @@ cascade can traverse an edge in at most one consequential direction.)
 
 An exact oracle enumerates live-edge realizations for small graphs and
 returns rational utilities.
+
+scipy.sparse is imported only by the functions that build a sketch
+set's sparse matrices or label its components, so a command that draws
+no sketches never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
@@ -225,6 +227,9 @@ def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndar
     canonical matrix, with no sort.  An undirected graph's strongly
     connected components are its components.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     R, n = len(edge_masks), graph.n
     comp = np.empty((R, n), dtype=_vertex_dtype(R, n))
     count = 0
@@ -254,7 +259,7 @@ class _Items:
     reaches: ``members`` lists them by item and ``reached`` by vertex.
     """
 
-    def __init__(self, count: int, comp: np.ndarray, arcs: sp.csr_matrix | None = None):
+    def __init__(self, count: int, comp: np.ndarray, arcs=None):
         self.count = count
         self.comp = comp
         self.arcs = arcs if arcs is not None and arcs.nnz else None
@@ -273,7 +278,7 @@ class _Items:
             lo = hi
 
     @cached_property
-    def members(self) -> sp.csr_matrix:
+    def members(self):
         """(count, n) boolean CSR matrix: row i lists every vertex that reaches item i.
 
         It starts as each item's own vertices, filled in place from
@@ -281,6 +286,8 @@ class _Items:
         each item gains the vertices that the items with arcs into it
         gained at the level before, until no item gains any.
         """
+        import scipy.sparse as sp
+
         R, n = self.comp.shape
         indices = np.empty(R * n, dtype=np.int32)
         indptr = np.zeros(self.count + 1, dtype=self.comp.dtype)
@@ -359,6 +366,8 @@ class DirectedSketchSet(_SketchSet):
         """The strongly connected components (SCCs) of each sketch and
         the live arcs between them.  Estimates need neither (see
         estimate_utilities)."""
+        import scipy.sparse as sp
+
         count, comp = _live_components(self.graph, self.edge_masks)
         labels, n = comp.ravel(), self.graph.n
         heads, tails = [], []
@@ -406,8 +415,8 @@ class _Evaluator:
     def reach_counts(self) -> np.ndarray:
         """(n, C) counts G[v]: comp_comm summed over the items v reaches.
 
-        Summed in int64 over chunks of item rows, since scipy multiplies
-        a copy of the index's data, one chunk of it at a time.
+        Summed in int64 over chunks of item rows, since the sparse product
+        multiplies a copy of the index's data, one chunk of it at a time.
         """
         members = self.items.members
         G = np.zeros((self.n, self.part.num_communities), dtype=np.int64)
@@ -480,8 +489,8 @@ class CoverageState:
     def _decrement(self, starts, sizes, weights) -> None:
         """Subtract each item's weights from its member rows of ``uncovered``.
 
-        The rows are gathered with numpy: scipy's per-call overhead would
-        dominate a greedy's many small adds.
+        The rows are gathered with numpy: a sparse matrix's per-call
+        overhead would dominate a greedy's many small adds.
         """
         members = self.ev.items.members
         at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
@@ -546,16 +555,6 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
 # --- exact oracle -----------------------------------------------------------
 
 
-def _coin_weights(p: float, m: int) -> list[Fraction]:
-    """Probability of one live-edge subset with j of its m coins live, j = 0..m.
-
-    p originates from a decimal literal and is read exactly as such
-    (Fraction(0.35) would be the binary float's rational, not 7/20).
-    """
-    q = Fraction(str(p))
-    return [q**j * (1 - q) ** (m - j) for j in range(m + 1)]
-
-
 class _LiveEdgeSubsets:
     """All live-edge subsets of a graph, and reach tables over them.
 
@@ -599,7 +598,14 @@ class _LiveEdgeSubsets:
         keep = np.full((len(live), len(self.full)), np.iinfo(np.uint64).max, dtype=np.uint64)
         for a in range(coins):
             keep[a] = np.packbits((subset >> a) & 1 != 0).view(np.uint64)
-        self.sizes, self.weights = sizes, _coin_weights(g.p, coins)
+        # A subset with j of its coins live has probability
+        # q^j (1-q)^(coins-j) = numerators[j] / denominator, where q = a/b
+        # is p's decimal literal read exactly (Fraction(0.35) would be the
+        # binary float's rational, not 7/20).
+        a, b = Fraction(str(g.p)).as_integer_ratio()
+        self.sizes = sizes
+        self.numerators = [a**j * (b - a) ** (coins - j) for j in range(coins + 1)]
+        self.denominator = b**coins
         if not g.directed:  # both directions of an edge share its coin
             ends, keep = np.r_[ends, ends[:, ::-1]], np.r_[keep, keep]
         # The arcs by tail row: row u's out-arcs are [first[u], first[u] + degree[u]).
@@ -643,13 +649,18 @@ class _LiveEdgeSubsets:
         return table.reshape(len(starts), E, W)
 
     def utilities(self, table: np.ndarray, seeds) -> UtilityVector:
-        """Exact utilities of a seed set whose reach table is ``table``."""
+        """Exact utilities of a seed set whose reach table is ``table``.
+
+        Each community's counts are summed against the integer numerators
+        in one int, which makes one Fraction over ``denominator * n_c``.
+        """
         reached = np.add.reduceat(np.bitwise_count(table), self.offsets, axis=1, dtype=np.int64)
         alone = [self.part.labels[v] for v in seeds if self.row[v] < 0]
         isolated = np.bincount(alone, minlength=self.part.num_communities)
         # (C, groups) reached (subset, vertex) pairs; a seed with no row counts in all
         counts = self.onehot @ reached + np.outer(isolated, self.sizes)
-        values = tuple(Fraction(sum(int(n) * w for n, w in zip(row, self.weights)), n_c)
+        values = tuple(Fraction(sum(int(n) * w for n, w in zip(row, self.numerators)),
+                                self.denominator * n_c)
                        for row, n_c in zip(counts, self.part.sizes))
         return UtilityVector(values=values, sizes=self.part.sizes)
 

@@ -644,6 +644,19 @@ def test_exact_oracle_and_exhaustive_table_match_loop_reference():
         for combo, u in enumerate_seed_set_utilities(g, part, k):
             assert u.values == _exact_by_loop(g, combo, part), (i, g, combo)
             assert all(isinstance(x, Fraction) for x in u.values)
+    # p literals with large reduced denominators (100, 1000, 1000) and
+    # numerators far from the denominator's half, drawn separately so
+    # the instances above keep their draws.
+    rng = np.random.default_rng(2025)
+    for i, p in enumerate((0.07, 0.123, 0.999) * 2):
+        g, part = _random_exact_instance(rng, directed=bool(i % 2), n=6, m=8)
+        g = dataclasses.replace(g, p=p)
+        for size in (1, 2):
+            vs = frozenset(int(v) for v in rng.choice(g.n, size=size, replace=False))
+            got = exact_utilities(g, SeedSet(vs, size), part).values
+            assert got == _exact_by_loop(g, vs, part), (p, g, vs)
+        for combo, u in enumerate_seed_set_utilities(g, part, 2):
+            assert u.values == _exact_by_loop(g, combo, part), (p, g, combo)
 
 
 def _dfs_utilities(g, seeds, part):

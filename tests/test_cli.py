@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -500,3 +504,47 @@ def test_help_available_per_subcommand(capsys):
             main([cmd, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+# Runs each command in turn in one fresh interpreter and names the first
+# after which scipy.sparse is loaded.
+_SCIPY_GUARD = """
+import sys
+
+def check(step):
+    if "scipy.sparse" in sys.modules:
+        sys.exit(f"scipy.sparse loaded by {step}")
+
+import fairspread
+check("import fairspread")
+from fairspread.cli import main
+graph, spec, out = sys.argv[1:]
+for argv in (["gen-sbm", "--spec", spec, "--seed", "3", "--out", out],
+             ["exact", "--graph", graph, "0", "4"],
+             ["exact", "--graph", graph, "--k", "2", "--method", "maximin"],
+             ["verify"]):
+    assert main(argv) == 0, argv
+    check(argv[0])
+try:
+    main(["select", "--graph", graph, "--k", "1", "--sketches", "0"])
+except SystemExit as exc:
+    assert exc.code == 2, exc.code
+check("select --sketches 0")
+"""
+
+
+def _fresh(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True)
+
+
+def test_commands_without_sketches_do_not_load_scipy(graph_file, spec_file, tmp_path):
+    done = _fresh(_SCIPY_GUARD, graph_file, spec_file, tmp_path / "sbm.json")
+    assert done.returncode == 0, done.stderr
+    # The guard can fail: a select that draws sketches loads scipy.sparse.
+    select = ("import sys; from fairspread.cli import main; "
+              "main(['select', '--graph', sys.argv[1], '--k', '1', '--sketches', '20']); "
+              "sys.exit('scipy.sparse' not in sys.modules)")
+    done = _fresh(select, graph_file)
+    assert done.returncode == 0, done.stderr
