@@ -526,9 +526,10 @@ for argv in (["gen-sbm", "--spec", spec, "--seed", "3", "--out", out],
     assert main(argv) == 0, argv
     check(argv[0])
 try:
-    main(["select", "--graph", graph, "--k", "1", "--sketches", "0"])
+    code = main(["select", "--graph", graph, "--k", "1", "--sketches", "0"])
 except SystemExit as exc:
-    assert exc.code == 2, exc.code
+    code = exc.code
+assert code == 2, code
 check("select --sketches 0")
 """
 
