@@ -248,6 +248,57 @@ def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndar
     return count, comp
 
 
+class _ArcBits:
+    """Reach over arcs whose liveness is one bit per world, in uint64 words.
+
+    A world is one coin subset in the exact oracle and one sketch in
+    directed estimates.  Rows are the vertices that arcs join; bit b of
+    ``keep[a]`` is set iff arc a (``tail[a]`` to ``head[a]``) is live in
+    world b, and ``full`` has a bit for every world, the bits a start
+    row holds.
+    """
+
+    def __init__(self, rows: int, tail, head, keep, full):
+        # The arcs by tail row: row u's out-arcs are [first[u], first[u] + degree[u]).
+        by_tail = np.argsort(tail, kind="stable")
+        self.head, self.keep, self.full = head[by_tail], keep[by_tail], full
+        self.degree = np.bincount(tail, minlength=rows)
+        self.first = np.cumsum(self.degree) - self.degree
+
+    def reach(self, starts) -> np.ndarray:
+        """(len(starts), rows, words) reach tables of each set of start rows.
+
+        All start sets propagate together from one queue of the (start,
+        row) pairs whose bits changed.  A batch of pairs, whose arcs fill
+        about ``_CHUNK_BYTES`` of rows, ANDs each row with the keep-words of
+        its out-arcs and ORs the results into the heads' rows; the rows
+        that grew join the queue, so an arc is followed again only after
+        its tail has gained worlds.
+        """
+        E, W = len(self.degree), len(self.full)
+        table = np.zeros((len(starts) * E, W), dtype=np.uint64)
+        queue = np.array([i * E + row for i, start in enumerate(starts) for row in start],
+                         dtype=np.int64)
+        table[queue] = self.full
+        batch = max(1, _CHUNK_BYTES // (8 * W * self.degree.max(initial=1)))
+        while len(queue):
+            pairs, queue = queue[:batch], queue[batch:]
+            tail = pairs % E
+            degree = self.degree[tail]
+            ends = degree.cumsum()
+            arc = np.arange(ends[-1]) + (self.first[tail] - ends + degree).repeat(degree)
+            dst = (pairs - tail).repeat(degree) + self.head[arc]
+            by_head = dst.argsort()
+            rows, cut = np.unique(dst[by_head], return_index=True)
+            old = table[rows]
+            new = table[pairs.repeat(degree)[by_head]] & self.keep[arc[by_head]]
+            new = np.bitwise_or.reduceat(new, cut, axis=0) | old
+            grew = (new != old).any(axis=1)
+            table[rows[grew]] = new[grew]
+            queue = np.concatenate([queue, rows[grew]])
+        return table.reshape(len(starts), E, W)
+
+
 class _Items:
     """The coverage items of a sketch set: the strongly connected
     components (SCCs) of each sketch's live arcs.
@@ -382,6 +433,17 @@ class DirectedSketchSet(_SketchSet):
                              shape=(count, count))
         return _Items(count, comp, arcs)
 
+    @cached_property
+    def arc_bits(self) -> _ArcBits:
+        """The arcs with one bit per sketch, which estimates propagate over."""
+        R = self.R
+        words = -(-R // 64)
+        keep = np.zeros((len(self.graph.edges), 8 * words), dtype=np.uint8)
+        keep[:, : -(-R // 8)] = np.packbits(self.edge_masks.T, axis=1, bitorder="little")
+        full = np.packbits(np.arange(64 * words) < R, bitorder="little").view(np.uint64)
+        tail, head = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2).T
+        return _ArcBits(self.graph.n, tail, head, keep.view(np.uint64), full)
+
 
 class _Evaluator:
     """Community counts of the coverage items of one sketch set under one partition.
@@ -512,26 +574,6 @@ def sample_sketches(g: Graph, R: int, master_seed) -> SketchSet:
     return UndirectedSketchSet(g, R, master_seed)
 
 
-def _live_reach(sk: DirectedSketchSet, seeds) -> np.ndarray:
-    """(R, n) table: the seed set reaches w over sketch r's live arcs.
-
-    The table is a view of vertex-major (n, R) storage: a sweep over the
-    arcs ORs one contiguous row into another per arc, and sweeps repeat
-    until nothing changes.
-    """
-    reach = np.zeros((sk.graph.n, sk.R), dtype=bool)
-    reach[sorted(seeds)] = True
-    live = np.ascontiguousarray(sk.edge_masks.T)  # (m, R)
-    step = np.empty(sk.R, dtype=bool)
-    before, count = -1, np.count_nonzero(reach)
-    while count != before:
-        for a, (u, v) in enumerate(sk.graph.edges):
-            np.logical_and(reach[u], live[a], out=step)
-            reach[v] |= step
-        before, count = count, np.count_nonzero(reach)
-    return reach.T
-
-
 def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) -> UtilityVector:
     """Sketch-averaged utilities; pure function of (sketches, seeds, part)."""
     seeds.check_ids(sk.graph.n)
@@ -540,12 +582,10 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
     else:
         if len(part.labels) != sk.graph.n:
             raise GraphFormatError("community partition does not match sketch graph")
-        active = _live_reach(sk, seeds.vertices)
-        labels = np.asarray(part.labels, dtype=np.int64)
-        counts = np.array(
-            [int(active[:, labels == c].sum()) for c in range(part.num_communities)],
-            dtype=np.int64,
-        )
+        table = sk.arc_bits.reach([list(seeds.vertices)])[0]
+        reached = np.bitwise_count(table).sum(axis=1, dtype=np.int64)  # sketches per vertex
+        counts = np.zeros(part.num_communities, dtype=np.int64)
+        np.add.at(counts, np.asarray(part.labels), reached)
     values = tuple(
         int(c) / (sk.R * n_c) for c, n_c in zip(counts, part.sizes)
     )
@@ -556,15 +596,15 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
 
 
 class _LiveEdgeSubsets:
-    """All live-edge subsets of a graph, and reach tables over them.
+    """All live-edge subsets of a graph, and the utilities of reach tables over them.
 
     When 0 < p < 1 each edge is a coin and subset s keeps coin a iff bit
     a of s is set; at p = 1 every edge is live and at p = 0 none is, in
-    the one subset there is.  A reach table has one row per endpoint of
-    a live edge and one bit per subset in uint64 words.  The subsets are
-    grouped by their number of live coins, each group starting on a
-    word, so a row's reach count per group is one ``np.bitwise_count``
-    and one ``np.add.reduceat``.  A vertex on no live edge (``row`` -1)
+    the one subset there is.  ``arc_bits`` has one row per endpoint of
+    a live edge (``row`` maps a vertex to it) and one bit per subset.
+    The subsets are grouped by their number of live coins, each group
+    starting on a word, so a row's reach count per group is one
+    ``np.bitwise_count`` and one ``np.add.reduceat``.  A vertex on no live edge (``row`` -1)
     reaches only itself in every subset: a constant 1 for its community.
     """
 
@@ -580,10 +620,10 @@ class _LiveEdgeSubsets:
             )
         self.part = part
         ends = np.array(live, dtype=np.int64).reshape(-1, 2)
-        self.endpoints = np.unique(ends)
+        endpoints = np.unique(ends)
         self.row = np.full(g.n, -1)
-        self.row[self.endpoints] = np.arange(len(self.endpoints))
-        labels = np.asarray(part.labels)[self.endpoints]
+        self.row[endpoints] = np.arange(len(endpoints))
+        labels = np.asarray(part.labels)[endpoints]
         self.onehot = np.equal.outer(np.arange(part.num_communities), labels).astype(np.int64)
         # Group j holds the C(coins, j) subsets with j live coins, padded
         # to whole words; subset[b] is the subset at bit b, 2^coins in padding.
@@ -594,8 +634,8 @@ class _LiveEdgeSubsets:
         padding = np.repeat(np.arange(coins + 1, dtype=group.dtype), 64 * words - sizes)
         subset = np.r_[np.arange(1 << coins), np.full(len(padding), 1 << coins)].astype(np.uint32)
         subset = subset[np.argsort(np.r_[group, padding], kind="stable")]
-        self.full = np.packbits(subset < 1 << coins).view(np.uint64)  # reached in every subset
-        keep = np.full((len(live), len(self.full)), np.iinfo(np.uint64).max, dtype=np.uint64)
+        full = np.packbits(subset < 1 << coins).view(np.uint64)  # reached in every subset
+        keep = np.full((len(live), len(full)), np.iinfo(np.uint64).max, dtype=np.uint64)
         for a in range(coins):
             keep[a] = np.packbits((subset >> a) & 1 != 0).view(np.uint64)
         # A subset with j of its coins live has probability
@@ -608,45 +648,7 @@ class _LiveEdgeSubsets:
         self.denominator = b**coins
         if not g.directed:  # both directions of an edge share its coin
             ends, keep = np.r_[ends, ends[:, ::-1]], np.r_[keep, keep]
-        # The arcs by tail row: row u's out-arcs are [first[u], first[u] + degree[u]).
-        tail, head = self.row[ends].T
-        by_tail = np.argsort(tail, kind="stable")
-        self.head, self.arc_keep = head[by_tail], keep[by_tail]
-        self.degree = np.bincount(tail, minlength=len(self.endpoints))
-        self.first = np.cumsum(self.degree) - self.degree
-
-    def reach(self, starts) -> np.ndarray:
-        """(len(starts), rows, words) reach tables of each start vertex set.
-
-        All start sets propagate together from one queue of the (start,
-        row) pairs whose bits changed.  A batch of pairs, whose arcs fill
-        about ``_CHUNK_BYTES`` of rows, ANDs each row with the keep-masks of
-        its out-arcs and ORs the results into the heads' rows; the rows
-        that grew join the queue, so an arc is followed again only after
-        its tail has gained subsets.
-        """
-        E, W = len(self.endpoints), len(self.full)
-        table = np.zeros((len(starts) * E, W), dtype=np.uint64)
-        queue = np.array([i * E + self.row[v] for i, start in enumerate(starts) for v in start
-                          if self.row[v] >= 0], dtype=np.int64)
-        table[queue] = self.full
-        batch = max(1, _CHUNK_BYTES // (8 * W * self.degree.max(initial=1)))
-        while len(queue):
-            pairs, queue = queue[:batch], queue[batch:]
-            tail = pairs % E
-            degree = self.degree[tail]
-            ends = degree.cumsum()
-            arc = np.arange(ends[-1]) + (self.first[tail] - ends + degree).repeat(degree)
-            dst = (pairs - tail).repeat(degree) + self.head[arc]
-            by_head = dst.argsort()
-            rows, cut = np.unique(dst[by_head], return_index=True)
-            old = table[rows]
-            new = table[pairs.repeat(degree)[by_head]] & self.arc_keep[arc[by_head]]
-            new = np.bitwise_or.reduceat(new, cut, axis=0) | old
-            grew = (new != old).any(axis=1)
-            table[rows[grew]] = new[grew]
-            queue = np.concatenate([queue, rows[grew]])
-        return table.reshape(len(starts), E, W)
+        self.arc_bits = _ArcBits(len(endpoints), *self.row[ends].T, keep, full)
 
     def utilities(self, table: np.ndarray, seeds) -> UtilityVector:
         """Exact utilities of a seed set whose reach table is ``table``.
@@ -674,4 +676,5 @@ def exact_utilities(g: Graph, seeds: SeedSet, part: CommunityPartition) -> Utili
     """
     seeds.check_ids(g.n)
     subsets = _LiveEdgeSubsets(g, part)
-    return subsets.utilities(subsets.reach([seeds.vertices])[0], seeds.vertices)
+    rows = [subsets.row[v] for v in seeds.vertices if subsets.row[v] >= 0]
+    return subsets.utilities(subsets.arc_bits.reach([rows])[0], seeds.vertices)

@@ -418,9 +418,10 @@ def enumerate_seed_set_utilities(
         return
 
     # The reach table of a seed set is the union of its members' single-
-    # vertex tables; the last, an empty start's, serves row -1.
+    # row tables; the last, an empty start's, serves row -1.
     subsets = _LiveEdgeSubsets(g, part)
-    singles = subsets.reach([[v] for v in subsets.endpoints] + [[]])
+    rows = len(subsets.arc_bits.degree)
+    singles = subsets.arc_bits.reach([[r] for r in range(rows)] + [[]])
     for combo in combinations(range(g.n), k):
         table = np.bitwise_or.reduce(singles[subsets.row[list(combo)]], axis=0)
         yield combo, subsets.utilities(table, combo)

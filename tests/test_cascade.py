@@ -418,11 +418,12 @@ def _dfs(adj, sources):
 def test_directed_closure_and_gains_match_bruteforce():
     rng = np.random.default_rng(31)
     # (n, tails, arcs, p, R): arcs leave only vertices below tails.  The
-    # last is dense: 256 tails form a core in which most pairs are joined
+    # third is dense: 256 tails form a core in which most pairs are joined
     # through all 256 of them (a count that wraps to 0 in uint8), plus 44
-    # sinks.
+    # sinks.  The last has R = 65 sketches, one bit past a whole uint64
+    # word of the estimate's one bit per sketch.
     for n, tails, m, p, R in ((30, 30, 90, 0.5, 12), (120, 120, 400, 0.35, 6),
-                              (300, 256, 2700, 0.9, 2)):
+                              (300, 256, 2700, 0.9, 2), (30, 30, 90, 0.5, 65)):
         pairs = [(u, v) for u in range(tails) for v in range(n) if u != v]
         edges = tuple(pairs[i] for i in rng.choice(len(pairs), size=m, replace=False))
         g = Graph(n=n, edges=edges, directed=True, p=p)
@@ -442,6 +443,13 @@ def test_directed_closure_and_gains_match_bruteforce():
         for s in seeds:
             state.add(s)
         covered = [set().union(*(reach[r][s] for s in seeds)) for r in range(R)]
+        counts = np.zeros(part.num_communities, dtype=np.int64)
+        for r in range(R):
+            for w in covered[r]:
+                counts[part.labels[w]] += 1
+        u = estimate_utilities(sk, SeedSet(frozenset(seeds), 3), part)
+        want = tuple(int(c) / (R * n_c) for c, n_c in zip(counts, part.sizes))
+        assert u.values == want, (n, R)
         for v in range(n):
             want = np.zeros(part.num_communities, dtype=np.int64)
             for r in range(R):
@@ -678,13 +686,14 @@ def test_exact_oracle_on_long_paths_in_any_edge_order():
     # Sweeping the arcs in list order until nothing changes takes one
     # sweep per step along a path whose edges come in reverse order; the
     # worklist follows an arc again only when its tail's row has grown.
+    # Directed estimates run the same worklist with one bit per sketch.
     n = 1000
     rng = np.random.default_rng(17)
     part = CommunityPartition(labels=tuple(v % 3 for v in range(n)))
     path = [(v, v + 1) for v in range(n - 1)]
     shuffled = [path[i] for i in rng.permutation(n - 1)]
     for directed in (False, True):
-        for edges in (path[::-1], shuffled):
+        for edges in (path[::-1], shuffled) + ((path,) if directed else ()):
             for p in (1.0, 0.0):
                 g = Graph(n=n, edges=tuple(edges), directed=directed, p=p)
                 t0 = time.perf_counter()
@@ -696,6 +705,16 @@ def test_exact_oracle_on_long_paths_in_any_edge_order():
                 assert len(singles) == n
                 for combo, u in singles:
                     assert u.values == _dfs_utilities(g, combo, part), combo
+                if not directed:
+                    continue
+                t0 = time.perf_counter()
+                sk = sample_sketches(g, 100, 0)
+                got = [estimate_utilities(sk, SeedSet(frozenset({s}), 1), part).values
+                       for s in (0, n // 3)]
+                elapsed = time.perf_counter() - t0
+                assert elapsed < 0.25, (edges[0], p, elapsed)
+                for s, values in zip((0, n // 3), got):
+                    assert values == tuple(map(float, _dfs_utilities(g, {s}, part))), s
 
 
 def test_exact_oracle_with_isolated_seeds_beyond_64_vertices():
