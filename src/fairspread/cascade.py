@@ -503,7 +503,8 @@ class CoverageState:
     ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
     that u would newly cover: ``gain_counts(u)`` for every vertex.
     ``add`` keeps it current by subtracting each newly covered item's
-    counts from the rows of every vertex that reaches it.
+    counts from the rows of every vertex that reaches it, and appends
+    the vertex to ``chosen``.
     """
 
     def __init__(self, ev: _Evaluator):
@@ -511,6 +512,7 @@ class CoverageState:
         self.covered = np.zeros(ev.items.count, dtype=bool)
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
         self.uncovered = ev.reach_counts.copy()
+        self.chosen: list[int] = []
 
     def gain_counts(self, v: int) -> np.ndarray:
         """Counts v would add, recomputed from the covered flags."""
@@ -527,6 +529,7 @@ class CoverageState:
         transients of about that many rows at a time.  The usual small
         add is one chunk.
         """
+        self.chosen.append(v)
         cols = self.ev.items.reached[v]
         new = cols[~self.covered[cols]]
         counts = self.ev.comp_comm[new]

@@ -30,6 +30,7 @@ from .experiments import (
 )
 from .fixtures import verify_all
 from .graph import (
+    Graph,
     SeedSet,
     _is_int,
     _is_list_of,
@@ -119,6 +120,7 @@ def _float_accepted_by(check):
 
 _alpha = _float_accepted_by(lambda alpha: default_params(alpha, 1))
 _delta = _float_accepted_by(lambda delta: dp_satisfied(UtilityVector((0.0,), (1,)), delta))
+_p = _float_accepted_by(lambda p: Graph(n=0, edges=(), p=p))
 
 
 class _FlattenSeeds(argparse.Action):
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-sbm", help="sample a stochastic block model graph")
     p.add_argument("--spec", required=True, help="SBM spec document (JSON)")
     p.add_argument("--seed", type=_nonnegative_int, required=True, help="generator seed")
-    p.add_argument("--p", type=float, default=0.25,
+    p.add_argument("--p", type=_p, default=0.25,
                    help="propagation probability (default: 0.25)")
     common(p, graph=False, fmt=False)
     p.set_defaults(func=_cmd_gen_sbm)

@@ -182,6 +182,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     return _run_level(cfg, "sweep", 0, cfg.sbm)
 
 
+def _study_sbm(cfg: ExperimentConfig, study: str, communities: int) -> SbmSpec:
+    """cfg.sbm, which a study varies level by level, with the study's community count."""
+    if cfg.sbm is None or len(cfg.sbm.community_sizes) != communities:
+        raise GraphFormatError(f"the {study} study needs an sbm with {communities} communities")
+    return cfg.sbm
+
+
 def relative_connectedness_experiment(
     cfg: ExperimentConfig,
     q3_levels: tuple[float, ...] = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
@@ -192,9 +199,9 @@ def relative_connectedness_experiment(
     paper's study has three communities of 100 with within-probabilities
     (0.06, 0.03, q_3) and 0.005 between, k = 0.1 n.
     """
+    base = _study_sbm(cfg, "connectedness", 3)
     rows: list[ResultRow] = []
     for level, q3 in enumerate(q3_levels):
-        base = cfg.sbm
         sbm = SbmSpec(
             base.community_sizes,
             (base.within_prob[0], base.within_prob[1], q3),
@@ -215,9 +222,9 @@ def relative_size_experiment(
     study grows it from 100 to 900 vertices with q_c = 0.005 within both
     communities and 0.001 between.
     """
+    base = _study_sbm(cfg, "size", 2)
     rows: list[ResultRow] = []
     for level, ratio in enumerate(ratios):
-        base = cfg.sbm
         sizes = (base.community_sizes[0], base.community_sizes[0] * ratio)
         sbm = SbmSpec(sizes, base.within_prob, base.between_prob)
         level_cfg = replace(cfg, budgets=(max(1, sbm.n // 10),))

@@ -15,7 +15,6 @@ objective values.  Total spread keeps an integer-sum gain.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -159,52 +158,50 @@ def dc_objective(part: CommunityPartition, R: int, bounds: DcBounds) -> _Objecti
 # --- greedy core ------------------------------------------------------------
 
 
-def _greedy_run(state, budget, objective, chosen, trace_vals, early_stop=None):
+def _greedy_run(state, budget, objective, stop_at=None) -> SelectionTrace:
     """CELF lazy greedy continuing from an existing coverage state.
 
-    Every gain comes from one block: ``objective.gains`` over the
-    state's ``uncovered`` rows, computed for the first heap and then
-    once per later pick, at its first pop (every entry is stale by
-    then).  Each stale entry is re-pushed with its fresh gain from
-    that block, so the picks are those of the scalar CELF loop, which
-    evaluated one candidate per stale pop.  Submodularity makes cached
-    gains upper bounds, so an entry computed at the current step is
-    safe to select; equal float gains break on lowest vertex id.
-    Gains that tie exactly are split by float rounding, and a cached
-    gain can round below its vertex's fresh gain, so on exact ties the
-    sequence can differ from naive greedy's.  Returns the number of
-    candidate gains computed: the block rows of unchosen vertices.
+    Picks until the state holds ``budget`` vertices or the objective
+    reaches ``stop_at``.  Each pick scores one block of fresh gains,
+    ``objective.gains`` over the ``uncovered`` rows; ``evaluations``
+    counts its rows of unchosen vertices, and the trace counts the
+    objective from the start of this run.  ``cached`` is each vertex's
+    gain when CELF last evaluated it: +inf before then, -inf once chosen.
+
+    This is CELF's heap loop in closed form.  The heap pops entries by
+    (cached gain, lowest id) and refreshes each until a refreshed gain
+    beats every cached gain left, so it picks v = argmax(min(cached,
+    fresh)), lowest id on ties, and adds fresh[v]: a vertex never popped
+    ranks below v by its cached gain, and a popped one by its fresh
+    gain, or, if v's fresh gain beat v's cached gain, it waited with its
+    fresh gain while v's cached gain was popped.  The refreshed entries
+    are those whose (cached gain, id) ranks at or above (min(cached,
+    fresh)[v], v).  Exact ties are split by float rounding, and a cached
+    gain can round below its vertex's fresh gain, so the picks can
+    differ from naive greedy's, a plain argmax of the fresh gains.
     """
     n = state.ev.n
-    taken = set(chosen)
-    step = len(chosen)
-    gains = objective.gains(state.counts, state.uncovered).tolist()
-    heap = [(-g, v, step) for v, g in enumerate(gains) if v not in taken]
-    evaluations = len(heap)
-    heapq.heapify(heap)
-    cur = trace_vals[-1] if trace_vals else 0.0
-    fresh = None
-
-    def stop():
-        return early_stop is not None and objective.value(state.counts) >= early_stop
-
-    done = stop()
-    while not done and len(chosen) < budget and heap:
-        neg_g, v, stamp = heapq.heappop(heap)
-        if stamp != step:
-            if fresh is None:
-                fresh = objective.gains(state.counts, state.uncovered).tolist()
-                evaluations += n - len(chosen)
-            heapq.heappush(heap, (-fresh[v], v, step))
-            continue
+    start = len(state.chosen)
+    cached = np.full(n, np.inf)
+    cached[state.chosen] = -np.inf
+    ids = np.arange(n)
+    vals: list[float] = []
+    cur = 0.0
+    evaluations = 0
+    while len(state.chosen) < budget and not (
+        stop_at is not None and objective.value(state.counts) >= stop_at
+    ):
+        fresh = objective.gains(state.counts, state.uncovered)
+        evaluations += n - len(state.chosen)
+        key = np.minimum(cached, fresh)
+        v = int(np.argmax(key))
+        refreshed = (cached > key[v]) | ((cached == key[v]) & (ids <= v))
+        cached[refreshed] = fresh[refreshed]
+        cached[v] = -np.inf
+        cur += float(fresh[v])
+        vals.append(cur)
         state.add(v)
-        chosen.append(v)
-        cur += -neg_g
-        trace_vals.append(cur)
-        step += 1
-        fresh = None
-        done = stop()
-    return evaluations
+    return SelectionTrace(tuple(state.chosen[start:]), tuple(vals), evaluations)
 
 
 def check_budget(k: int, n: int) -> None:
@@ -218,16 +215,8 @@ def check_budget(k: int, n: int) -> None:
 def _lazy_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
     check_budget(k, sk.graph.n)
     state = sk.coverage_state(part)
-    chosen: list[int] = []
-    trace_vals: list[float] = []
-    evals = _greedy_run(state, k, objective, chosen, trace_vals)
-    seeds = SeedSet(vertices=frozenset(chosen), k=k)
-    trace = SelectionTrace(
-        chosen=tuple(chosen),
-        objective_after_each=tuple(trace_vals),
-        evaluations=evals,
-    )
-    return seeds, trace, state
+    trace = _greedy_run(state, k, objective)
+    return SeedSet(vertices=frozenset(trace.chosen), k=k), trace, state
 
 
 def naive_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
@@ -353,17 +342,12 @@ def saturate_dc(
     check_budget(k, sk.graph.n)
     sat_obj = dc_objective(part, sk.R, bounds)
     state = sk.coverage_state(part)
-    chosen: list[int] = []
-    trace_vals: list[float] = []
     all_met = int(sat_obj.active.sum()) - 1e-12  # every positive bound saturated
-    _greedy_run(state, k, sat_obj, chosen, trace_vals, early_stop=all_met)
-    if len(chosen) < k:
-        total_obj = TotalObjective(sk.R)
-        trace_vals2: list[float] = [0.0]
-        _greedy_run(state, k, total_obj, chosen, trace_vals2)
+    _greedy_run(state, k, sat_obj, stop_at=all_met)
+    _greedy_run(state, k, TotalObjective(sk.R))
     u = state.counts / (sk.R * np.array(part.sizes, dtype=np.float64))
     feasible = bool(np.all(u >= np.array(bounds.bounds) - tol))
-    return SeedSet(vertices=frozenset(chosen), k=k), feasible
+    return SeedSet(vertices=frozenset(state.chosen), k=k), feasible
 
 
 def select_seeds(

@@ -335,6 +335,20 @@ _SWEEP_GRAPH = {"n": 7, "directed": False, "p": 0.4,
         ({"p": -0.25}, "propagation probability -0.25 outside [0, 1]"),
         # A None value removes the key: a fixed graph runs at its own p.
         ({"sbm": None, "p": 0.9, "graph": _SWEEP_GRAPH}, "p must not be given with a fixed"),
+        # Each study varies an SBM with a fixed community count.
+        ({"experiment": "connectedness", "sbm": None, "graph": _SWEEP_GRAPH},
+         "the connectedness study needs an sbm with 3 communities"),
+        ({"experiment": "size", "sbm": None, "graph": _SWEEP_GRAPH},
+         "the size study needs an sbm with 2 communities"),
+        ({"experiment": "connectedness",
+          "sbm": {"community_sizes": [8], "within_prob": 0.2, "between_prob": 0.05}},
+         "the connectedness study needs an sbm with 3 communities"),
+        ({"experiment": "connectedness",
+          "sbm": {"community_sizes": [4] * 4, "within_prob": 0.2, "between_prob": 0.05}},
+         "the connectedness study needs an sbm with 3 communities"),
+        ({"experiment": "size",
+          "sbm": {"community_sizes": [5] * 3, "within_prob": 0.2, "between_prob": 0.05}},
+         "the size study needs an sbm with 2 communities"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):
@@ -413,29 +427,34 @@ def test_sketch_count_must_be_positive(capsys, command, count):
     assert ("invalid int value" if count == "x" else "is not a positive integer") in err
 
 
-_BAD_VALUES = {"--alpha": ("1", "1.5", "nan", "x"), "--delta": ("-0.5", "1", "nan", "x")}
+_BAD_VALUES = {"--alpha": ("1", "1.5", "nan", "x"), "--delta": ("-0.5", "1", "nan", "x"),
+               "--p": ("-0.25", "1.5", "nan", "x")}
+_BAD_VALUE_MESSAGES = {"--alpha": "alpha must be", "--delta": "delta must be",
+                       "--p": "propagation probability"}
 
 
 @pytest.mark.parametrize(
     "command, flag, value",
     [(command, flag, value)
      for command, flag in (("select", "--alpha"), ("exact", "--alpha"),
-                           ("metrics", "--alpha"), ("metrics", "--delta"))
+                           ("metrics", "--alpha"), ("metrics", "--delta"),
+                           ("gen-sbm", "--p"))
      for value in _BAD_VALUES[flag]],
 )
 def test_alpha_and_delta_are_checked_at_parse_time(capsys, command, flag, value):
-    # As for --sketches: the graph does not exist, so a value checked only
+    # As for --sketches: the input does not exist, so a value checked only
     # after reading it would exit 3; a parse-time check exits 2 first.
     argv = {
         "select": ["select", "--graph", "missing.json", "--k", "1"],
         "exact": ["exact", "--graph", "missing.json"],
         "metrics": ["metrics", "--graph", "missing.json", "0"],
+        "gen-sbm": ["gen-sbm", "--spec", "missing.json", "--seed", "0"],
     }[command]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    expected = "invalid float value" if value == "x" else f"{flag[2:]} must be"
+    expected = "invalid float value" if value == "x" else _BAD_VALUE_MESSAGES[flag]
     assert flag in err and expected in err
 
 

@@ -1,6 +1,7 @@
 """Selector tests: greedy, SATURATE baselines and the exhaustive oracle."""
 
 import gc
+import heapq
 import math
 import weakref
 
@@ -20,6 +21,7 @@ from fairspread.graph import (
 from fairspread.optimize import (
     DcBounds,
     TotalObjective,
+    _greedy_run,
     _lazy_greedy,
     dc_objective,
     dc_lower_bounds,
@@ -65,6 +67,98 @@ def test_lazy_greedy_equals_naive_greedy():
                 naive_trace.objective_after_each
             )
             assert lazy_trace.evaluations <= naive_trace.evaluations
+
+
+def _heap_celf_run(state, budget, objective, chosen, trace_vals, early_stop=None):
+    """The CELF heap loop that ``_greedy_run`` computes in closed form, as its reference."""
+    n = state.ev.n
+    taken = set(chosen)
+    step = len(chosen)
+    gains = objective.gains(state.counts, state.uncovered).tolist()
+    heap = [(-g, v, step) for v, g in enumerate(gains) if v not in taken]
+    evaluations = len(heap)
+    heapq.heapify(heap)
+    cur = trace_vals[-1] if trace_vals else 0.0
+    fresh = None
+
+    def stop():
+        return early_stop is not None and objective.value(state.counts) >= early_stop
+
+    done = stop()
+    while not done and len(chosen) < budget and heap:
+        neg_g, v, stamp = heapq.heappop(heap)
+        if stamp != step:
+            if fresh is None:
+                fresh = objective.gains(state.counts, state.uncovered).tolist()
+                evaluations += n - len(chosen)
+            heapq.heappush(heap, (-fresh[v], v, step))
+            continue
+        state.add(v)
+        chosen.append(v)
+        cur += -neg_g
+        trace_vals.append(cur)
+        step += 1
+        fresh = None
+        done = stop()
+    return evaluations
+
+
+def _celf_instance(i):
+    """Seeded instance i with 2, 3 or 9 communities: every fifth is disjoint
+    identical stars (exact ties), the others SBMs, every third directed."""
+    rng = np.random.default_rng(i)
+    C = (2, 3, 9)[i % 3]
+    if i % 5 == 4:
+        arms, stars = int(rng.integers(1, 4)), C * int(rng.integers(1, 3))
+        n = stars * (arms + 1)
+        edges = tuple((v - v % (arms + 1), v) for v in range(n) if v % (arms + 1))
+        g = Graph(n=n, edges=edges, p=float(rng.choice([0.5, 1.0])))
+        part = CommunityPartition(labels=tuple((v // (arms + 1)) % C for v in range(n)))
+    else:
+        sizes = tuple(int(s) for s in rng.integers(3, 12 if C == 9 else 20, C))
+        g, part = generate_sbm(SbmSpec(sizes, (0.3,) * C, 0.05), i, p=0.3)
+        if i % 3 == 2:
+            flip = rng.random(len(g.edges)) < 0.5
+            arcs = tuple((v, u) if f else (u, v) for (u, v), f in zip(g.edges, flip))
+            g = Graph(n=g.n, edges=arcs, directed=True, p=g.p)
+    sk = sample_sketches(g, int(rng.integers(5, 201)), i)
+    k = int(rng.integers(1, g.n + 1)) if rng.random() < 0.7 else g.n
+    C = part.num_communities
+    bounds = DcBounds(tuple(float(x) if rng.random() < 0.8 else 0.0
+                            for x in rng.uniform(0, 0.5, C)), (0,) * C, 0)
+    dc = dc_objective(part, sk.R, bounds)
+    runs = [(TotalObjective(sk.R), None)]
+    runs += [(welfare_objective(part, sk.R, default_params(alpha, g.n)), None)
+             for alpha in (-60.0, -20.0, -9.0, -2.0, 0.0, 0.5, 0.9)]
+    runs += [(truncated_objective(part, sk.R, float(rng.uniform(0.05, 0.6))), None),
+             (dc, None), (dc, int(dc.active.sum()) - 1e-12)]
+    return sk, part, k, runs
+
+
+def test_greedy_run_keeps_the_heaps_picks():
+    # Picks, trace floats and evaluations equal the heap loop's, except
+    # that a run which starts done scores no block.  A run with DC's stop
+    # is followed, as in saturate_dc, by a total-spread run on its state.
+    for i in range(45):
+        sk, part, k, runs = _celf_instance(i)
+        for obj, stop in runs:
+            phases = [(obj, stop)] + ([(TotalObjective(sk.R), None)] if stop is not None else [])
+            heap_state, new_state = sk.coverage_state(part), sk.coverage_state(part)
+            chosen = []
+            for phase_obj, phase_stop in phases:
+                start, vals = len(chosen), [0.0]
+                evals = _heap_celf_run(heap_state, k, phase_obj, chosen, vals, phase_stop)
+                trace = _greedy_run(new_state, k, phase_obj, phase_stop)
+                assert trace.chosen == tuple(chosen[start:])
+                assert trace.objective_after_each == tuple(vals[1:])
+                assert trace.evaluations == (evals if trace.chosen else 0)
+            assert new_state.chosen == chosen
+    # On instance 6 a plain argmax of the fresh gains, which is naive
+    # greedy's rule, picks differently: the cached gains decide picks.
+    sk, part, k, runs = _celf_instance(6)
+    obj = runs[7][0]  # welfare at alpha 0.9
+    _, naive = naive_greedy(sk, part, k, obj)
+    assert naive.chosen != _greedy_run(sk.coverage_state(part), k, obj).chosen
 
 
 def test_greedy_trace_monotone_nondecreasing():
@@ -228,6 +322,18 @@ def test_saturate_maximin_beats_utilitarian_minimum():
     assert min(u_mm.values) > min(u_util.values)
     assert 0.0 <= gamma <= 1.0
     assert min(u_mm.values) >= gamma - 0.02
+
+
+def test_saturate_maximin_falls_back_to_utilitarian():
+    # One seed among 30 isolated vertices lifts one community of three
+    # to 1/10, so every gamma the search tries fails: it returns the
+    # utilitarian seeds and gamma 0.
+    g = Graph(n=30, edges=(), p=0.5)
+    part = CommunityPartition(labels=tuple(v // 10 for v in range(30)))
+    sk = sample_sketches(g, 10, 0)
+    seeds, gamma = saturate_maximin(sk, part, 1)
+    assert seeds == greedy_utilitarian(sk, part, 1)[0]
+    assert gamma == 0.0
 
 
 def test_dc_bounds_budgets_and_values():
