@@ -589,10 +589,12 @@ def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) 
         reached = np.bitwise_count(table).sum(axis=1, dtype=np.int64)  # sketches per vertex
         counts = np.zeros(part.num_communities, dtype=np.int64)
         np.add.at(counts, np.asarray(part.labels), reached)
-    values = tuple(
-        int(c) / (sk.R * n_c) for c, n_c in zip(counts, part.sizes)
-    )
-    return UtilityVector(values=values, sizes=part.sizes)
+    return counts_utilities(counts, sk.R, part)
+
+
+def counts_utilities(counts, R: int, part: CommunityPartition) -> UtilityVector:
+    """Utilities u_c = counts_c / (R n_c) of per-community counts summed over R sketches."""
+    return UtilityVector(tuple(int(c) / (R * n_c) for c, n_c in zip(counts, part.sizes)), part.sizes)
 
 
 # --- exact oracle -----------------------------------------------------------

@@ -189,8 +189,7 @@ def _cmd_select(args) -> int:
     else:
         check_budget(args.k, g.n)
         sk = sample_sketches(g, args.sketches, args.seed)
-        seeds, extra = select_seeds(sk, part, args.k, args.method, args.alpha)
-        u = estimate_utilities(sk, seeds, part)
+        seeds, u, extra = select_seeds(sk, part, args.k, args.method, args.alpha)
     _write_or_print(args, _selection_report(args, seeds.vertices, u, extra))
     _emit_metadata(args, vars(args))
     return EXIT_OK

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass, replace
 from statistics import mean, pstdev
 
-from .cascade import estimate_utilities, sample_sketches
+from .cascade import sample_sketches
 from .errors import GraphFormatError
 from .graph import CommunityPartition, Graph, SbmSpec, generate_sbm
 from .optimize import check_budget, select_seeds
@@ -32,7 +32,7 @@ class ExperimentConfig:
     sbm: SbmSpec | None = None
     graph: Graph | None = None
     partition: CommunityPartition | None = None
-    budgets: tuple[int, ...] = (30,)
+    budgets: tuple[int, ...] | None = None  # None: the study's own, (30,) but for size
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     baselines: tuple[str, ...] = ("utilitarian",)
     replications: int = 20
@@ -62,14 +62,14 @@ class ExperimentConfig:
                 raise GraphFormatError(f"unknown baseline '{b}'")
         if self.R < 1:
             raise GraphFormatError("sketch count must be >= 1")
-        if not self.budgets:
+        if self.budgets == ():
             raise GraphFormatError("a sweep needs at least one budget")
         if not self.alphas and not self.baselines:
             raise GraphFormatError("a sweep needs at least one alpha or baseline")
         n = self.sbm.n if self.sbm is not None else self.graph.n
         for alpha in self.alphas:
             default_params(alpha, n)  # rejects alpha >= 1 before any work
-        for k in self.budgets:
+        for k in self.budgets or ():
             check_budget(k, n)
 
 
@@ -98,8 +98,7 @@ def _method_rows(sk, part, k, alphas, baselines, instance, replication):
     runs += [(b, None) for b in BASELINES[1:] if b in baselines]
     rows = []
     for method, alpha in runs:
-        seeds, extra = select_seeds(sk, part, k, method, alpha)
-        u = estimate_utilities(sk, seeds, part)
+        _, u, extra = select_seeds(sk, part, k, method, alpha)
         if method == "utilitarian":
             im_total = total_influence(u)
             if method not in baselines:
@@ -124,6 +123,8 @@ def _method_rows(sk, part, k, alphas, baselines, instance, replication):
 
 def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | None):
     """All replications of one configuration level."""
+    if cfg.budgets is None:  # the default, checked before the level's first graph
+        check_budget(30, sbm.n if sbm is not None else cfg.graph.n)
     rows: list[ResultRow] = []
     for rep in range(cfg.replications):
         seed_key = (cfg.master_seed, level, rep)
@@ -132,7 +133,7 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
         else:
             g, part = cfg.graph, cfg.partition
         sk = sample_sketches(g, cfg.R, seed_key)
-        for k in cfg.budgets:
+        for k in cfg.budgets or (30,):
             rows += _method_rows(sk, part, k, cfg.alphas, cfg.baselines, instance, str(rep))
     rows.extend(_aggregate(rows))
     return rows
@@ -218,11 +219,13 @@ def relative_size_experiment(
     """Grow the second of two communities to each ratio times the first's size.
 
     The probabilities come from cfg.sbm, and each level has the one
-    budget max(1, n // 10), whatever cfg.budgets holds.  The paper's
+    budget max(1, n // 10), so cfg must not set budgets.  The paper's
     study grows it from 100 to 900 vertices with q_c = 0.005 within both
     communities and 0.001 between.
     """
     base = _study_sbm(cfg, "size", 2)
+    if cfg.budgets is not None:
+        raise GraphFormatError("the size study sets each level's budget; remove budgets")
     rows: list[ResultRow] = []
     for level, ratio in enumerate(ratios):
         sizes = (base.community_sizes[0], base.community_sizes[0] * ratio)

@@ -25,6 +25,7 @@ from .cascade import (
     SketchSet,
     UtilityVector,
     _LiveEdgeSubsets,
+    counts_utilities,
     estimate_utilities,
     sample_sketches,
 )
@@ -43,13 +44,14 @@ METHODS = ("welfare", "utilitarian", "maximin", "dc")
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    """A greedy run: the picks, the objective after each, and the number
-    of candidate gains computed (for block gains, the rows of vertices
-    not yet chosen)."""
+    """A greedy run: the picks, the objective after each, the number of
+    candidate gains computed (for block gains, the rows of vertices not
+    yet chosen), and the per-community counts covered at its end."""
 
     chosen: tuple[int, ...]
     objective_after_each: tuple[float, ...]
     evaluations: int
+    counts: tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.chosen)) != len(self.chosen):
@@ -158,15 +160,15 @@ def dc_objective(part: CommunityPartition, R: int, bounds: DcBounds) -> _Objecti
 # --- greedy core ------------------------------------------------------------
 
 
-def _greedy_run(state, budget, objective, stop_at=None) -> SelectionTrace:
-    """CELF lazy greedy continuing from an existing coverage state.
+class _GreedyRun:
+    """CELF lazy greedy on an existing coverage state, resumable.
 
-    Picks until the state holds ``budget`` vertices or the objective
-    reaches ``stop_at``.  Each pick scores one block of fresh gains,
-    ``objective.gains`` over the ``uncovered`` rows; ``evaluations``
-    counts its rows of unchosen vertices, and the trace counts the
-    objective from the start of this run.  ``cached`` is each vertex's
-    gain when CELF last evaluated it: +inf before then, -inf once chosen.
+    Each pick scores one block of fresh gains, ``objective.gains`` over
+    the ``uncovered`` rows; ``evaluations`` counts its rows of unchosen
+    vertices, and ``vals`` the objective from the start of this run.
+    ``cached`` is each vertex's gain when CELF last evaluated it: +inf
+    before then, -inf once chosen.  It persists between calls of
+    ``extend``, so a paused run picks as one that never paused.
 
     This is CELF's heap loop in closed form.  The heap pops entries by
     (cached gain, lowest id) and refreshes each until a refreshed gain
@@ -180,28 +182,56 @@ def _greedy_run(state, budget, objective, stop_at=None) -> SelectionTrace:
     gain can round below its vertex's fresh gain, so the picks can
     differ from naive greedy's, a plain argmax of the fresh gains.
     """
-    n = state.ev.n
-    start = len(state.chosen)
-    cached = np.full(n, np.inf)
-    cached[state.chosen] = -np.inf
-    ids = np.arange(n)
-    vals: list[float] = []
-    cur = 0.0
-    evaluations = 0
-    while len(state.chosen) < budget and not (
-        stop_at is not None and objective.value(state.counts) >= stop_at
-    ):
-        fresh = objective.gains(state.counts, state.uncovered)
-        evaluations += n - len(state.chosen)
-        key = np.minimum(cached, fresh)
-        v = int(np.argmax(key))
-        refreshed = (cached > key[v]) | ((cached == key[v]) & (ids <= v))
-        cached[refreshed] = fresh[refreshed]
-        cached[v] = -np.inf
-        cur += float(fresh[v])
-        vals.append(cur)
-        state.add(v)
-    return SelectionTrace(tuple(state.chosen[start:]), tuple(vals), evaluations)
+
+    def __init__(self, state, objective):
+        self.state, self.objective, self.start = state, objective, len(state.chosen)
+        self.cached = np.full(state.ev.n, np.inf)
+        self.cached[state.chosen] = -np.inf
+        self.vals, self.evaluations = [], 0
+
+    def extend(self, budget, stop_at=None, give_up=False) -> bool:
+        """Pick until the state holds ``budget`` vertices or the objective
+        reaches ``stop_at``; returns whether it reached ``stop_at``.
+
+        With ``give_up``, also stop once the objective plus the sum of the
+        ``budget - |S|`` largest fresh gains, which bounds the objective at
+        ``budget`` picks (submodularity; Leskovec et al. 2007), is below
+        ``stop_at`` by more than 1e-9 * max(1, |stop_at|), a margin far
+        above the rounding of these float sums.
+        """
+        state, objective, cached = self.state, self.objective, self.cached
+        ids = np.arange(state.ev.n)
+        while True:
+            value = None if stop_at is None else objective.value(state.counts)
+            if value is not None and value >= stop_at:
+                return True
+            left = budget - len(state.chosen)
+            if left <= 0:
+                return False
+            fresh = objective.gains(state.counts, state.uncovered)
+            self.evaluations += len(ids) - len(state.chosen)
+            if give_up:
+                top = np.partition(fresh[cached > -np.inf], -left)[-left:].sum()
+                if value + top < stop_at - 1e-9 * max(1.0, abs(stop_at)):
+                    return False
+            key = np.minimum(cached, fresh)
+            v = int(np.argmax(key))
+            refreshed = (cached > key[v]) | ((cached == key[v]) & (ids <= v))
+            cached[refreshed] = fresh[refreshed]
+            cached[v] = -np.inf
+            self.vals.append((self.vals[-1] if self.vals else 0.0) + float(fresh[v]))
+            state.add(v)
+
+    def trace(self) -> SelectionTrace:
+        return SelectionTrace(tuple(self.state.chosen[self.start:]), tuple(self.vals),
+                              self.evaluations, tuple(self.state.counts.tolist()))
+
+
+def _greedy_run(state, budget, objective, stop_at=None) -> SelectionTrace:
+    """One CELF run (``_GreedyRun``) to ``budget`` picks or ``stop_at``."""
+    run = _GreedyRun(state, objective)
+    run.extend(budget, stop_at)
+    return run.trace()
 
 
 def check_budget(k: int, n: int) -> None:
@@ -214,9 +244,8 @@ def check_budget(k: int, n: int) -> None:
 
 def _lazy_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
     check_budget(k, sk.graph.n)
-    state = sk.coverage_state(part)
-    trace = _greedy_run(state, k, objective)
-    return SeedSet(vertices=frozenset(trace.chosen), k=k), trace, state
+    trace = _greedy_run(sk.coverage_state(part), k, objective)
+    return SeedSet(vertices=frozenset(trace.chosen), k=k), trace
 
 
 def naive_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
@@ -241,54 +270,57 @@ def naive_greedy(sk: SketchSet, part: CommunityPartition, k: int, objective):
         cur += best_g
         vals.append(cur)
     seeds = SeedSet(vertices=frozenset(chosen), k=k)
-    return seeds, SelectionTrace(tuple(chosen), tuple(vals), evals)
+    counts = tuple(state.counts.tolist())
+    return seeds, SelectionTrace(tuple(chosen), tuple(vals), evals, counts)
 
 
 def greedy_welfare(
     sk: SketchSet, part: CommunityPartition, k: int, params: WelfareParams
 ) -> tuple[SeedSet, SelectionTrace]:
     """Lazy greedy maximizing W_alpha over sketch-estimated utilities."""
-    obj = welfare_objective(part, sk.R, params)
-    seeds, trace, _ = _lazy_greedy(sk, part, k, obj)
-    return seeds, trace
+    return _lazy_greedy(sk, part, k, welfare_objective(part, sk.R, params))
 
 
 def greedy_utilitarian(
     sk: SketchSet, part: CommunityPartition, k: int
 ) -> tuple[SeedSet, SelectionTrace]:
     """Lazy greedy maximizing total expected spread."""
-    obj = TotalObjective(sk.R)
-    seeds, trace, _ = _lazy_greedy(sk, part, k, obj)
-    return seeds, trace
+    return _lazy_greedy(sk, part, k, TotalObjective(sk.R))
 
 
 def saturate_maximin(
     sk: SketchSet, part: CommunityPartition, k: int, tol: float = 0.01
-) -> tuple[SeedSet, float]:
+) -> tuple[SeedSet, float, SelectionTrace]:
     """Binary search on gamma with a truncated greedy inner loop.
 
     Returns the seed set for the largest gamma whose truncated
-    objective reaches N_C * gamma within tol.
+    objective reaches N_C * gamma within tol, that gamma and its greedy
+    trace, or the utilitarian seeds and trace with gamma 0.  A gamma's
+    run fails once ``extend``'s bound shows that k picks cannot reach
+    C * gamma - tol, and succeeds once the objective, which only grows
+    with the counts, reaches it; the latest success is paused and
+    finished to k picks at the end.
     """
     if tol <= 0:
         raise InfeasibleError("tolerance must be positive")
+    check_budget(k, sk.graph.n)
     C = part.num_communities
     lo, hi = 0.0, 1.0
-    best: SeedSet | None = None
+    best: _GreedyRun | None = None
     for _ in range(64):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2
-        obj = truncated_objective(part, sk.R, mid)
-        seeds, _, state = _lazy_greedy(sk, part, k, obj)
-        if obj.value(state.counts) >= C * mid - tol:
-            lo = mid
-            best = seeds
+        run = _GreedyRun(sk.coverage_state(part), truncated_objective(part, sk.R, mid))
+        if run.extend(k, stop_at=C * mid - tol, give_up=True):
+            lo, best = mid, run
         else:
             hi = mid
     if best is None:
-        best, _ = greedy_utilitarian(sk, part, k)
-    return best, lo
+        seeds, trace = greedy_utilitarian(sk, part, k)
+        return seeds, lo, trace
+    best.extend(k)
+    return SeedSet(vertices=frozenset(best.state.chosen), k=k), lo, best.trace()
 
 
 def dc_lower_bounds(
@@ -302,7 +334,7 @@ def dc_lower_bounds(
 
     Each community optimizes total spread inside its induced subgraph
     with its proportional budget floor(k * n_c / n) and fresh sketches
-    keyed by (master_seed, c).
+    keyed by (master_seed, c); U_c is the utility its greedy covered.
     """
     if k > g.n:
         raise InfeasibleError(f"budget {k} exceeds vertex count {g.n}")
@@ -318,9 +350,8 @@ def dc_lower_bounds(
         sub, _members = induced_within_community_subgraph(g, part, c)
         sub_part = CommunityPartition(labels=(0,) * sub.n)
         sk_c = sample_sketches(sub, R, (master_seed, c))  # master_seed's words, then c
-        seeds, _ = greedy_utilitarian(sk_c, sub_part, budget)
-        u = estimate_utilities(sk_c, seeds, sub_part)
-        bounds.append(float(u.values[0]))
+        _, trace = greedy_utilitarian(sk_c, sub_part, budget)
+        bounds.append(counts_utilities(trace.counts, R, sub_part).values[0])
     return DcBounds(bounds=tuple(bounds), budgets=tuple(budgets), k=k)
 
 
@@ -330,12 +361,14 @@ def saturate_dc(
     k: int,
     bounds: DcBounds,
     tol: float = 0.01,
-) -> tuple[SeedSet, bool]:
+) -> tuple[SeedSet, bool, SelectionTrace]:
     """Greedy saturation of the DC lower bounds, then spend leftovers.
 
     Once every bound is saturated on the evaluation sketches, remaining
     budget goes to total influence.  The feasibility flag reports
-    whether all u_c >= U_c - tol at the end.
+    whether all u_c >= U_c - tol at the end.  The trace joins both
+    phases' picks and evaluations; its objective restarts from 0 with
+    the total-spread phase.
     """
     if bounds.k != k:
         raise InfeasibleError("bounds were computed for a different budget")
@@ -343,37 +376,40 @@ def saturate_dc(
     sat_obj = dc_objective(part, sk.R, bounds)
     state = sk.coverage_state(part)
     all_met = int(sat_obj.active.sum()) - 1e-12  # every positive bound saturated
-    _greedy_run(state, k, sat_obj, stop_at=all_met)
-    _greedy_run(state, k, TotalObjective(sk.R))
-    u = state.counts / (sk.R * np.array(part.sizes, dtype=np.float64))
-    feasible = bool(np.all(u >= np.array(bounds.bounds) - tol))
-    return SeedSet(vertices=frozenset(state.chosen), k=k), feasible
+    sat = _greedy_run(state, k, sat_obj, stop_at=all_met)
+    rest = _greedy_run(state, k, TotalObjective(sk.R))
+    u = counts_utilities(rest.counts, sk.R, part).values
+    feasible = all(x >= b - tol for x, b in zip(u, bounds.bounds))
+    trace = SelectionTrace(tuple(state.chosen), sat.objective_after_each + rest.objective_after_each,
+                           sat.evaluations + rest.evaluations, rest.counts)
+    return SeedSet(vertices=frozenset(state.chosen), k=k), feasible, trace
 
 
 def select_seeds(
     sk: SketchSet, part: CommunityPartition, k: int, method: str, alpha
-) -> tuple[SeedSet, dict]:
-    """Budget-k seeds of one of METHODS, plus the extras its report carries.
+) -> tuple[SeedSet, UtilityVector, dict]:
+    """Budget-k seeds of one of METHODS, their utilities on sk (from the
+    greedy's counts), and the extras their report carries.
 
     welfare uses alpha with the standard floor; maximin reports
     SATURATE's gamma; dc computes its bounds on R fresh sketches per
     community keyed by (sk.master_seed, 1) and reports them with their
     feasibility.
     """
+    extra = {}
     if method == "welfare":
-        seeds, _ = greedy_welfare(sk, part, k, default_params(alpha, sk.graph.n))
-        return seeds, {}
-    if method == "utilitarian":
-        seeds, _ = greedy_utilitarian(sk, part, k)
-        return seeds, {}
-    if method == "maximin":
-        seeds, gamma = saturate_maximin(sk, part, k)
-        return seeds, {"gamma": gamma}
-    if method == "dc":
+        seeds, trace = greedy_welfare(sk, part, k, default_params(alpha, sk.graph.n))
+    elif method == "utilitarian":
+        seeds, trace = greedy_utilitarian(sk, part, k)
+    elif method == "maximin":
+        seeds, extra["gamma"], trace = saturate_maximin(sk, part, k)
+    elif method == "dc":
         bounds = dc_lower_bounds(sk.graph, part, k, sk.R, (sk.master_seed, 1))
-        seeds, feasible = saturate_dc(sk, part, k, bounds)
-        return seeds, {"dc_bounds": list(bounds.bounds), "dc_feasible": feasible}
-    raise InfeasibleError(f"unknown method '{method}'")
+        extra["dc_bounds"] = list(bounds.bounds)
+        seeds, extra["dc_feasible"], trace = saturate_dc(sk, part, k, bounds)
+    else:
+        raise InfeasibleError(f"unknown method '{method}'")
+    return seeds, counts_utilities(trace.counts, sk.R, part), extra
 
 
 # --- exhaustive oracle ------------------------------------------------------

@@ -354,7 +354,7 @@ def test_criterion_7_leximin_limit():
         )
         sk = sample_sketches(g, 1000, (72, seed))
         s_w, _ = greedy_welfare(sk, part, 30, default_params(-20.0, g.n))
-        s_m, _ = saturate_maximin(sk, part, 30, tol=0.01)
+        s_m, _, _ = saturate_maximin(sk, part, 30, tol=0.01)
         m_w = min(estimate_utilities(sk, s_w, part).values)
         m_m = min(estimate_utilities(sk, s_m, part).values)
         worst = max(worst, abs(m_w - m_m))

@@ -349,6 +349,11 @@ _SWEEP_GRAPH = {"n": 7, "directed": False, "p": 0.4,
         ({"experiment": "size",
           "sbm": {"community_sizes": [5] * 3, "within_prob": 0.2, "between_prob": 0.05}},
          "the size study needs an sbm with 2 communities"),
+        # The size study sets each level's budget itself.
+        ({"experiment": "size"}, "the size study sets each level's budget"),
+        ({"experiment": "connectedness", "budgets": None,
+          "sbm": {"community_sizes": [5] * 3, "within_prob": 0.2, "between_prob": 0.05}},
+         "budget 30 exceeds vertex count 15"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):
@@ -367,6 +372,19 @@ def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change,
     # An infeasible budget exits 4, as it does for select; any other fault is a format error.
     assert main(["sweep", "--config", str(path)]) == (4 if message.startswith("budget") else 3)
     assert message in capsys.readouterr().err
+
+
+def test_size_study_on_a_small_sbm_needs_no_budgets(tmp_path):
+    # Budgets default to 30, above n = 20, but the size study never runs them.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "experiment": "size",
+        "sbm": {"community_sizes": [10, 10], "within_prob": 0.2, "between_prob": 0.05},
+        "alphas": [], "replications": 1, "R": 10,
+    }))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert "ratio=9,0,utilitarian,10," in out.read_text()
 
 
 def test_fixed_graph_sweep_records_the_graphs_p(tmp_path, capsys):

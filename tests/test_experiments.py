@@ -113,7 +113,6 @@ def test_connectedness_levels_and_symmetry():
 def test_size_experiment_budget_scales_with_n():
     cfg = ExperimentConfig(
         sbm=SbmSpec((30, 30), (0.05, 0.05), 0.01),
-        budgets=(3,),
         alphas=(),
         baselines=("utilitarian",),
         replications=2,
@@ -131,7 +130,7 @@ def test_size_study_writes_each_replication_row_once(tmp_path):
     config.write_text(json.dumps({
         "experiment": "size",
         "sbm": {"community_sizes": [10, 10], "within_prob": 0.2, "between_prob": 0.05},
-        "budgets": [2, 5], "alphas": [], "replications": 2, "R": 20,
+        "alphas": [], "replications": 2, "R": 20,
     }))
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0

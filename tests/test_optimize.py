@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from fairspread import optimize
-from fairspread.cascade import UtilityVector, estimate_utilities, sample_sketches
+from fairspread.cascade import (
+    CoverageState,
+    UtilityVector,
+    estimate_utilities,
+    sample_sketches,
+)
 from fairspread.errors import EnumerationLimitError, InfeasibleError
 from fairspread.graph import (
     CommunityPartition,
@@ -17,8 +22,10 @@ from fairspread.graph import (
     SbmSpec,
     SeedSet,
     generate_sbm,
+    induced_within_community_subgraph,
 )
 from fairspread.optimize import (
+    METHODS,
     DcBounds,
     TotalObjective,
     _greedy_run,
@@ -60,7 +67,7 @@ def test_lazy_greedy_equals_naive_greedy():
         sk = sample_sketches(g, 150, seed + 100)
         for alpha in (-5.0, 0.0, 0.5):
             obj = welfare_objective(part, sk.R, default_params(alpha, g.n))
-            _, lazy_trace, _ = _lazy_greedy(sk, part, 6, obj)
+            _, lazy_trace = _lazy_greedy(sk, part, 6, obj)
             _, naive_trace = naive_greedy(sk, part, 6, obj)
             assert lazy_trace.chosen == naive_trace.chosen
             assert lazy_trace.objective_after_each == pytest.approx(
@@ -316,7 +323,7 @@ def test_saturate_maximin_beats_utilitarian_minimum():
     part = CommunityPartition(labels=(0,) * 28 + (1,) * 4)
     sk = sample_sketches(g, 200, 3)
     util_seeds, _ = greedy_utilitarian(sk, part, 2)
-    mm_seeds, gamma = saturate_maximin(sk, part, 2, tol=0.01)
+    mm_seeds, gamma, _ = saturate_maximin(sk, part, 2, tol=0.01)
     u_util = estimate_utilities(sk, util_seeds, part)
     u_mm = estimate_utilities(sk, mm_seeds, part)
     assert min(u_mm.values) > min(u_util.values)
@@ -331,9 +338,109 @@ def test_saturate_maximin_falls_back_to_utilitarian():
     g = Graph(n=30, edges=(), p=0.5)
     part = CommunityPartition(labels=tuple(v // 10 for v in range(30)))
     sk = sample_sketches(g, 10, 0)
-    seeds, gamma = saturate_maximin(sk, part, 1)
+    seeds, gamma, _ = saturate_maximin(sk, part, 1)
     assert seeds == greedy_utilitarian(sk, part, 1)[0]
     assert gamma == 0.0
+
+
+def _saturate_maximin_reference(sk, part, k, tol):
+    """saturate_maximin with every gamma's greedy run to k picks, as its reference."""
+    C = part.num_communities
+    lo, hi = 0.0, 1.0
+    best = None
+    for _ in range(64):
+        if hi - lo <= tol:
+            break
+        mid = (lo + hi) / 2
+        obj = truncated_objective(part, sk.R, mid)
+        seeds, trace = _lazy_greedy(sk, part, k, obj)
+        if obj.value(np.array(trace.counts)) >= C * mid - tol:
+            lo = mid
+            best = seeds, trace
+        else:
+            hi = mid
+    if best is None:
+        best = greedy_utilitarian(sk, part, k)
+    return best, lo
+
+
+def _saturate_instance(i):
+    """Seeded SBM i with 2, 3 or 9 communities, every third directed, a
+    budget up to n and a tolerance of 0.01, 0.05 or 0.2.  Few sketches
+    make exact gain ties, which the cached gains split, common."""
+    rng = np.random.default_rng(i)
+    C = (2, 3, 9)[(i // 3) % 3]
+    sizes = tuple(int(s) for s in rng.integers(3, 10 if C == 9 else 25, C))
+    g, part = generate_sbm(SbmSpec(sizes, (0.3,) * C, 0.05), i, p=0.3)
+    if i % 3 == 2:
+        flip = rng.random(len(g.edges)) < 0.5
+        arcs = tuple((v, u) if f else (u, v) for (u, v), f in zip(g.edges, flip))
+        g = Graph(n=g.n, edges=arcs, directed=True, p=g.p)
+    sk = sample_sketches(g, int(rng.integers(5, 30)), i)
+    k = int(rng.integers(1, g.n + 1)) if rng.random() < 0.7 else g.n
+    return sk, part, k, (0.01, 0.05, 0.2)[(i // 9) % 3]
+
+
+def test_saturate_maximin_stops_runs_once_their_outcome_is_known(monkeypatch):
+    # Same seeds, gamma and final trace as runs to k picks, from fewer
+    # picks.  30 isolated vertices: in three communities every gamma
+    # fails (the fallback); in one community at tol 0.2, gamma 0.125 has
+    # target 0.125 - 0.2 < 0 and succeeds with no pick.
+    picks = []
+    add = CoverageState.add
+
+    def counted(self, v):
+        picks.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(CoverageState, "add", counted)
+    isolated = Graph(n=30, edges=(), p=0.5)
+    instances = [_saturate_instance(i) for i in range(45)]
+    for C, tol in ((3, 0.01), (1, 0.2)):
+        part = CommunityPartition(labels=tuple(v * C // 30 for v in range(30)))
+        instances.append((sample_sketches(isolated, 10, 0), part, 1, tol))
+    for sk, part, k, tol in instances:
+        picks.clear()
+        (ref_seeds, ref_trace), ref_gamma = _saturate_maximin_reference(sk, part, k, tol)
+        ref_picks = len(picks)
+        picks.clear()
+        seeds, gamma, trace = saturate_maximin(sk, part, k, tol)
+        assert (seeds, gamma, trace) == (ref_seeds, ref_gamma, ref_trace)
+        assert len(picks) < ref_picks
+    assert (gamma, ref_picks, len(picks)) == (0.125, 3, 1)
+
+
+def test_selections_report_what_estimate_utilities_reports():
+    # select_seeds takes utilities from the greedy's covered counts, and
+    # DC's bounds from each community's greedy; both must equal the
+    # estimates on the same sketches, undirected and directed, and on
+    # the maximin fallback (30 isolated vertices, k = 1).
+    g, part = _instance(8, sizes=(20, 14, 9))
+    flip = np.random.default_rng(8).random(len(g.edges)) < 0.5
+    arcs = tuple((v, u) if f else (u, v) for (u, v), f in zip(g.edges, flip))
+    directed = Graph(n=g.n, edges=arcs, directed=True, p=g.p)
+    thirds = CommunityPartition(labels=tuple(v // 10 for v in range(30)))
+    cases = [(sample_sketches(g, 80, 1), part, 6),
+             (sample_sketches(directed, 80, 2), part, 6),
+             (sample_sketches(Graph(n=30, edges=(), p=0.5), 10, 0), thirds, 1)]
+    for sk, part, k in cases:
+        for method in METHODS:
+            seeds, u, extra = optimize.select_seeds(sk, part, k, method, -2.0)
+            assert u == estimate_utilities(sk, seeds, part)
+            if method == "maximin" and sk.graph.n == 30:
+                assert extra["gamma"] == 0.0
+            if method != "dc":
+                continue
+            for c, bound in enumerate(extra["dc_bounds"]):
+                budget = k * part.sizes[c] // sk.graph.n
+                expected = 0.0
+                if budget:
+                    sub, _ = induced_within_community_subgraph(sk.graph, part, c)
+                    one = CommunityPartition(labels=(0,) * sub.n)
+                    sk_c = sample_sketches(sub, sk.R, ((sk.master_seed, 1), c))
+                    sub_seeds, _ = greedy_utilitarian(sk_c, one, budget)
+                    expected = estimate_utilities(sk_c, sub_seeds, one).values[0]
+                assert bound == expected
 
 
 def test_dc_bounds_budgets_and_values():
@@ -390,7 +497,7 @@ def test_dc_bounds_are_keyed_by_the_sketch_set():
     g, part = _instance(2, sizes=(30, 15))
     for key, flat in ((7, (7, 1)), ((7, 0, 2), (7, 0, 2, 1))):
         sk = sample_sketches(g, 60, key)
-        _, extra = optimize.select_seeds(sk, part, 6, "dc", None)
+        _, _, extra = optimize.select_seeds(sk, part, 6, "dc", None)
         assert extra["dc_bounds"] == list(dc_lower_bounds(g, part, 6, 60, flat).bounds)
 
 
@@ -398,7 +505,7 @@ def test_saturate_dc_feasible_on_easy_instance():
     g, part = _instance(5, sizes=(20, 20), q=0.2, between=0.05)
     sk = sample_sketches(g, 300, 5)
     bounds = dc_lower_bounds(g, part, 6, R=300, master_seed=5)
-    seeds, feasible = saturate_dc(sk, part, 6, bounds, tol=0.02)
+    seeds, feasible, _ = saturate_dc(sk, part, 6, bounds, tol=0.02)
     assert len(seeds.vertices) == 6
     assert feasible
     u = estimate_utilities(sk, seeds, part)
