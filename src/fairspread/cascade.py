@@ -215,14 +215,18 @@ def _block_arcs(chunk, order, src, dst, n):
     return tail, head
 
 
-def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndarray]:
-    """Strongly connected components of every sketch's live arcs.
+def _live_components(graph: Graph, edge_masks: np.ndarray):
+    """Strongly connected components of every sketch's live arcs, over
+    the (sketch, vertex) pairs that a live arc touches.
 
-    Returns their number and their (R, n) labels, which are unique across
-    sketches: each sketch's labels form one range, which precedes the
-    next sketch's.  Each chunk of ``_live_arcs`` is labelled as one
-    graph, and its labels are offset by the count of the chunks before
-    it.  Its arcs are already in CSR order, so the block is built as a
+    Returns (count, comp, lone, offsets).  ``comp`` holds the (R, n)
+    labels, -1 at a pair that no live arc touches; the ``count`` labels
+    are unique across sketches, and sketch r's form the range
+    [offsets[r], offsets[r + 1]).  ``lone[v]`` counts the sketches in
+    which no live arc touches v.  Each chunk of ``_live_arcs`` is
+    labelled as one graph of its touched pairs, numbered in order, and
+    its labels are offset by the count of the chunks before it.  The
+    numbering keeps the arcs in CSR order, so the block is built as a
     CSR matrix directly, its row pointers counted from the tails: the
     canonical matrix, with no sort.  An undirected graph's strongly
     connected components are its components.
@@ -232,9 +236,20 @@ def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndar
 
     R, n = len(edge_masks), graph.n
     comp = np.empty((R, n), dtype=_vertex_dtype(R, n))
+    lone = np.zeros(n, dtype=np.int64)
+    offsets = np.zeros(R + 1, dtype=np.int64)
     count = 0
     for lo, hi, tail, head in _live_arcs(graph, edge_masks):
-        size = (hi - lo) * n
+        touched = np.zeros((hi - lo) * n, dtype=bool)
+        touched[tail] = True
+        touched[head] = True
+        number = np.cumsum(touched, dtype=comp.dtype)
+        size = int(number[-1])
+        number -= 1
+        # One at a time, so that three arc arrays are held at once, not four.
+        tail = number[tail]
+        head = number[head]
+        del number
         indptr = np.zeros(size + 1, dtype=comp.dtype)
         np.cumsum(np.bincount(tail, minlength=size), out=indptr[1:])
         # float64 weights, connected_components' dtype, spare it a copy.
@@ -242,10 +257,18 @@ def _live_components(graph: Graph, edge_masks: np.ndarray) -> tuple[int, np.ndar
         del tail, head
         found, labels = connected_components(block, directed=graph.directed,
                                              connection="strong")
-        comp[lo:hi] = labels.reshape(-1, n)
-        comp[lo:hi] += count
+        labels += count
+        rows = comp[lo:hi]
+        rows.fill(-1)
+        # Positions, not the mask: its irregular pattern makes numpy's
+        # masked copies several times slower than index copies.
+        rows.ravel()[np.flatnonzero(touched)] = labels
+        # A sketch's labels end one past its largest, or where the last ended.
+        offsets[lo + 1 : hi + 1] = np.maximum.accumulate(np.maximum(rows.max(axis=1) + 1, count))
+        lone += hi - lo
+        lone -= touched.reshape(-1, n).sum(axis=0)
         count += int(found)
-    return count, comp
+    return count, comp, lone, offsets
 
 
 class _ArcBits:
@@ -301,36 +324,49 @@ class _ArcBits:
 
 class _Items:
     """The coverage items of a sketch set: the strongly connected
-    components (SCCs) of each sketch's live arcs.
+    components (SCCs) of each sketch's live arcs that a live arc touches.
 
     ``comp[r, v]`` is the item holding vertex v in sketch r, labelled as
-    by ``_live_components``.  ``arcs``, a (count, count) boolean CSR
-    matrix, has entry [i, j] if a live arc leads from item j into item
-    i; an undirected set has none.  A vertex covers every item it
-    reaches: ``members`` lists them by item and ``reached`` by vertex.
+    by ``_live_components``, or -1 where no live arc touches v: a lone
+    pair, which only v reaches and which reaches only v.  ``lone[v]``
+    counts v's lone pairs, and sketch r's items are [offsets[r],
+    offsets[r + 1]).  Every per-item array has one trailing null row,
+    which the label -1 indexes: it holds no vertex and no count.
+    ``arcs``, a (count + 1, count + 1) boolean CSR matrix, has entry
+    [i, j] if a live arc leads from item j into item i; an undirected
+    set has none.  A vertex covers every item it reaches: ``members``
+    lists them by item and ``reached`` by vertex.
     """
 
-    def __init__(self, count: int, comp: np.ndarray, arcs=None):
+    def __init__(self, count: int, comp: np.ndarray, lone: np.ndarray, offsets: np.ndarray,
+                 arcs=None):
         self.count = count
         self.comp = comp
+        self.lone = lone
+        self.offsets = offsets
         self.arcs = arcs if arcs is not None and arcs.nnz else None
 
     def sketch_chunks(self):
-        """(first sketch, labels, lo, hi) per chunk of ``_sketch_step``
-        sketches: ``labels`` is the chunk's rows of ``comp``, which hold
-        the item range [lo, hi)."""
+        """(first sketch, local, lo, hi) per chunk of ``_sketch_step``
+        sketches, whose items are [lo, hi).  ``local`` is the chunk's rows
+        of ``comp`` minus lo, except that the lone pairs of the chunk's
+        j-th sketch hold hi - lo + j: a spare row per sketch after the
+        chunk's items, so no vertex is twice in one row.  It is computed
+        without a mask, whose irregular pattern would slow numpy down."""
         R, n = self.comp.shape
         step = _sketch_step(n)
-        lo = 0
         for r in range(0, R, step):
             labels = self.comp[r : r + step]
-            hi = int(labels.max()) + 1
-            yield r, labels, lo, hi
-            lo = hi
+            lo, hi = int(self.offsets[r]), int(self.offsets[r + len(labels)])
+            local = labels - lo
+            np.maximum(local, -1, out=local)
+            spare = np.arange(hi - lo + 1, hi - lo + 1 + len(labels), dtype=local.dtype)
+            local += (local < 0) * spare[:, None]
+            yield r, local, lo, hi
 
     @cached_property
     def members(self):
-        """(count, n) boolean CSR matrix: row i lists every vertex that reaches item i.
+        """(count + 1, n) boolean CSR matrix: row i lists every vertex that reaches item i.
 
         It starts as each item's own vertices, filled in place from
         ``comp`` one chunk of sketches at a time.  Then, level by level,
@@ -340,16 +376,21 @@ class _Items:
         import scipy.sparse as sp
 
         R, n = self.comp.shape
-        indices = np.empty(R * n, dtype=np.int32)
-        indptr = np.zeros(self.count + 1, dtype=self.comp.dtype)
+        indices = np.empty(R * n - int(self.lone.sum()), dtype=np.int32)
+        indptr = np.empty(self.count + 2, dtype=self.comp.dtype)
+        indptr[0] = end = 0
         vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (_sketch_step(n), n))
-        for r, labels, lo, hi in self.sketch_chunks():
-            pairs = (labels.ravel() - lo, vertex[: len(labels)].ravel())
-            block = sp.csr_matrix((np.ones(labels.size, dtype=bool), pairs), shape=(hi - lo, n))
-            indices[r * n : r * n + labels.size] = block.indices
-            indptr[lo + 1 : hi + 1] = block.indptr[1:] + r * n
-        members = frontier = sp.csr_matrix((np.ones(R * n, dtype=bool), indices, indptr),
-                                           shape=(self.count, n))
+        for _, local, lo, hi in self.sketch_chunks():
+            pairs = (local.ravel(), vertex[: len(local)].ravel())
+            block = sp.csr_matrix((np.ones(local.size, dtype=bool), pairs),
+                                  shape=(hi - lo + len(local), n))
+            size = block.indptr[hi - lo]  # the entries of items, before the spare rows
+            indices[end : end + size] = block.indices[:size]
+            indptr[lo + 1 : hi + 1] = block.indptr[1 : hi - lo + 1] + end
+            end += size
+        indptr[-1] = end  # the null row
+        members = frontier = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                                           shape=(self.count + 1, n))
         while self.arcs is not None and frontier.nnz:
             gained = self.arcs @ frontier  # boolean, so no count of paths can wrap
             frontier = gained > members  # the entries not yet in members
@@ -358,7 +399,7 @@ class _Items:
 
     @cached_property
     def reached(self):
-        """reached[v] lists the items vertex v reaches."""
+        """reached[v] lists the items vertex v reaches; -1 stands for none."""
         if self.arcs is None:
             return self.comp.T
         by_vertex = self.members.T.tocsr()
@@ -393,8 +434,8 @@ class UndirectedSketchSet(_SketchSet):
 
     def __init__(self, graph: Graph, R: int, master_seed):
         super().__init__(graph, R, master_seed)
-        self.num_comps, self.comp = _live_components(graph, self.edge_masks)
-        self.items = _Items(self.num_comps, self.comp)
+        self.items = _Items(*_live_components(graph, self.edge_masks))
+        self.num_comps = self.items.count
 
     # The class's own attribute, which bench/tracing.py times.
     evaluator = _SketchSet.evaluator
@@ -407,10 +448,13 @@ class DirectedSketchSet(_SketchSet):
     @property
     def closure(self) -> np.ndarray:
         """(R, n, n) boolean reachability per sketch (v reaches w), read
-        from the member index: v reaches w iff it reaches w's SCC."""
+        from the member index: v reaches w iff it reaches w's SCC, and a
+        lone vertex, whose row is the empty null row, reaches itself."""
         R, n = self.R, self.graph.n
         rows = self.items.members[self.items.comp.ravel()]
-        return rows.toarray().reshape(R, n, n).transpose(0, 2, 1)
+        closure = rows.toarray().reshape(R, n, n).transpose(0, 2, 1)
+        closure[:, np.arange(n), np.arange(n)] = True
+        return closure
 
     @cached_property
     def items(self) -> _Items:
@@ -419,7 +463,7 @@ class DirectedSketchSet(_SketchSet):
         estimate_utilities)."""
         import scipy.sparse as sp
 
-        count, comp = _live_components(self.graph, self.edge_masks)
+        count, comp, lone, offsets = _live_components(self.graph, self.edge_masks)
         labels, n = comp.ravel(), self.graph.n
         heads, tails = [], []
         for lo, _, tail, head in _live_arcs(self.graph, self.edge_masks):
@@ -430,8 +474,8 @@ class DirectedSketchSet(_SketchSet):
             tails.append(tail[cross])
         head, tail = np.concatenate(heads), np.concatenate(tails)
         arcs = sp.csr_matrix((np.ones(len(head), dtype=bool), (head, tail)),
-                             shape=(count, count))
-        return _Items(count, comp, arcs)
+                             shape=(count + 1, count + 1))
+        return _Items(count, comp, lone, offsets, arcs)
 
     @cached_property
     def arc_bits(self) -> _ArcBits:
@@ -448,10 +492,12 @@ class DirectedSketchSet(_SketchSet):
 class _Evaluator:
     """Community counts of the coverage items of one sketch set under one partition.
 
-    ``comp_comm[i, c]`` counts community c's vertices in item i.  An item
-    holds at most n vertices, so the counts are int32; every sum over
-    items (``reach_counts``, ``coverage_counts``, a state's ``counts``)
-    is int64.  ``reach_counts`` is built from the member index on first
+    ``comp_comm[i, c]`` counts community c's vertices in item i, and
+    its null row is zero.  An item holds at most n vertices, so the
+    counts are int32; every sum over items (``reach_counts``,
+    ``coverage_counts``, a state's ``counts``) is int64.  ``lone_comm[v]``
+    counts v's lone pairs in v's community: what v alone covers outside
+    the items.  ``reach_counts`` is built from the member index on first
     use, so an evaluator that only estimates utilities never builds the
     index.  The evaluator keeps the sketch set's items, not the set, so
     that the set's evaluator cache forms no reference cycle.
@@ -466,22 +512,25 @@ class _Evaluator:
         self.items = sk.items
         C = part.num_communities
         community = np.asarray(part.labels, dtype=np.int64)
-        self.comp_comm = np.empty((self.items.count, C), dtype=np.int32)
-        for _, labels, lo, hi in self.items.sketch_chunks():
-            key = np.multiply(labels - lo, C, dtype=np.int64)
+        self.comp_comm = np.zeros((self.items.count + 1, C), dtype=np.int32)
+        for _, local, lo, hi in self.items.sketch_chunks():
+            key = np.multiply(local, C, dtype=np.int64)
             key += community
-            counts = np.bincount(key.ravel(), minlength=(hi - lo) * C)
-            self.comp_comm[lo:hi] = counts.reshape(-1, C)
+            counts = np.bincount(key.ravel(), minlength=(hi - lo + len(local)) * C)
+            self.comp_comm[lo:hi] = counts[: (hi - lo) * C].reshape(-1, C)
+        self.lone_comm = np.zeros((n, C), dtype=np.int64)
+        self.lone_comm[np.arange(n), community] = self.items.lone
 
     @cached_property
     def reach_counts(self) -> np.ndarray:
-        """(n, C) counts G[v]: comp_comm summed over the items v reaches.
+        """(n, C) counts G[v]: comp_comm summed over the items v reaches,
+        plus ``lone_comm[v]``.
 
         Summed in int64 over chunks of item rows, since the sparse product
         multiplies a copy of the index's data, one chunk of it at a time.
         """
         members = self.items.members
-        G = np.zeros((self.n, self.part.num_communities), dtype=np.int64)
+        G = self.lone_comm.copy()
         per_chunk = _CHUNK_BYTES // 8
         cuts = np.searchsorted(members.indptr, np.arange(per_chunk, members.nnz, per_chunk))
         for lo, hi in zip([0, *cuts], [*cuts, self.items.count]):
@@ -490,11 +539,12 @@ class _Evaluator:
 
     def coverage_counts(self, seeds) -> np.ndarray:
         """Influenced counts per community summed over all sketches."""
+        seeds = sorted(set(seeds))
         if not seeds:
             return np.zeros(self.part.num_communities, dtype=np.int64)
-        flags = np.zeros(self.items.count, dtype=bool)
+        flags = np.zeros(self.items.count + 1, dtype=bool)
         flags[np.concatenate([self.items.reached[v] for v in seeds])] = True
-        return self.comp_comm[flags].sum(axis=0, dtype=np.int64)
+        return self.comp_comm[flags].sum(axis=0, dtype=np.int64) + self.lone_comm[seeds].sum(axis=0)
 
 
 class CoverageState:
@@ -503,13 +553,15 @@ class CoverageState:
     ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
     that u would newly cover: ``gain_counts(u)`` for every vertex.
     ``add`` keeps it current by subtracting each newly covered item's
-    counts from the rows of every vertex that reaches it, and appends
-    the vertex to ``chosen``.
+    counts from the rows of every vertex that reaches it, and the
+    vertex's lone counts from its own row, and appends the vertex to
+    ``chosen``.  The null row starts covered, so no -1 is ever new.
     """
 
     def __init__(self, ev: _Evaluator):
         self.ev = ev
-        self.covered = np.zeros(ev.items.count, dtype=bool)
+        self.covered = np.zeros(ev.items.count + 1, dtype=bool)
+        self.covered[-1] = True
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
         self.uncovered = ev.reach_counts.copy()
         self.chosen: list[int] = []
@@ -518,7 +570,8 @@ class CoverageState:
         """Counts v would add, recomputed from the covered flags."""
         cols = self.ev.items.reached[v]
         new = cols[~self.covered[cols]]
-        return self.ev.comp_comm[new].sum(axis=0, dtype=np.int64)
+        counts = self.ev.comp_comm[new].sum(axis=0, dtype=np.int64)
+        return counts if v in self.chosen else counts + self.ev.lone_comm[v]
 
     def add(self, v: int) -> np.ndarray:
         """Cover what v reaches; returns the counts it added.
@@ -529,13 +582,15 @@ class CoverageState:
         transients of about that many rows at a time.  The usual small
         add is one chunk.
         """
+        lone = 0 if v in self.chosen else self.ev.lone_comm[v]
         self.chosen.append(v)
         cols = self.ev.items.reached[v]
         new = cols[~self.covered[cols]]
         counts = self.ev.comp_comm[new]
-        delta = counts.sum(axis=0, dtype=np.int64)
+        delta = counts.sum(axis=0, dtype=np.int64) + lone
         self.covered[cols] = True
         self.counts += delta
+        self.uncovered[v] -= lone
         indptr = self.ev.items.members.indptr
         starts = indptr[new]
         sizes = indptr[new + 1] - starts

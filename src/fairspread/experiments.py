@@ -49,11 +49,13 @@ class ExperimentConfig:
             p = 0.25 if self.p is None else self.p
         elif self.partition is None:
             raise GraphFormatError("a fixed graph needs a community partition")
-        elif self.p is not None:
+        elif self.p is not None and self.p != self.graph.p:
             raise GraphFormatError("p must not be given with a fixed graph, "
                                    "which carries its own p")
         else:
-            p = self.graph.p  # the p its sketches use, which the config records
+            # The p its sketches use, which the config records; a p equal
+            # to it is accepted, so dataclasses.replace can copy a config.
+            p = self.graph.p
         if not 0.0 <= p <= 1.0:
             raise GraphFormatError(f"propagation probability {p} outside [0, 1]")
         object.__setattr__(self, "p", p)

@@ -24,7 +24,8 @@ from fairspread.cascade import (
 )
 from fairspread.errors import EnumerationLimitError, GraphFormatError
 from fairspread.graph import CommunityPartition, Graph, SbmSpec, SeedSet, generate_sbm
-from fairspread.optimize import enumerate_seed_set_utilities, greedy_utilitarian
+from fairspread.optimize import enumerate_seed_set_utilities, greedy_utilitarian, greedy_welfare
+from fairspread.welfare import default_params
 
 
 def _one_comm(n):
@@ -174,24 +175,43 @@ def _check_uncovered_rows(sk, part, picks):
 
 
 def test_uncovered_rows_track_gain_counts():
-    # p = 0.25 leaves both singleton and multi-vertex components in the
-    # undirected sketches; the directed graph adds reversed arcs.
+    # p = 0.25 leaves both lone pairs, which no live edge touches, and
+    # multi-vertex components in the undirected sketches; the directed
+    # graph adds reversed arcs.  Picks with lone pairs check that a
+    # chosen row drops its lone counts as well as its items'.
     g, dg, part = _uncovered_instance()
+    picks = np.random.default_rng(5).permutation(g.n)[:12]
     undirected = sample_sketches(g, 40, 2)
-    sizes = np.bincount(undirected.comp.ravel())
-    assert (sizes == 1).any() and (sizes >= 2).any()
+    comp = undirected.items.comp
+    assert (np.bincount(comp[comp >= 0]) >= 2).all()
     for sk in (undirected, sample_sketches(dg, 40, 2)):
-        _check_uncovered_rows(sk, part, np.random.default_rng(5).permutation(g.n)[:12])
+        assert (sk.items.comp < 0).any() and sk.items.lone[picks].all()
+        _check_uncovered_rows(sk, part, picks)
+
+
+def _touched(g, edge_masks):
+    """(R, n) flags of the (sketch, vertex) pairs that a live arc touches."""
+    src, dst = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    r, a = np.nonzero(edge_masks)
+    touched = np.zeros((len(edge_masks), g.n), dtype=bool)
+    touched[r, src[a]] = touched[r, dst[a]] = True
+    return touched
 
 
 def _one_shot_components(g, edge_masks):
-    """scipy's labels of one block-diagonal graph of every sketch's live arcs."""
+    """scipy's labels of one block-diagonal graph of every sketch's live
+    arcs, with -1 at the pairs no live arc touches and the others
+    renumbered densely in the order of their labels."""
     R, n = len(edge_masks), g.n
     src, dst = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
     r, a = np.nonzero(edge_masks)
     big = sp.csr_matrix((np.ones(len(a)), (r * n + src[a], r * n + dst[a])), shape=(R * n, R * n))
-    count, labels = connected_components(big, directed=g.directed, connection="strong")
-    return count, labels.reshape(R, n)
+    _, labels = connected_components(big, directed=g.directed, connection="strong")
+    touched = _touched(g, edge_masks)
+    found, dense = np.unique(labels.reshape(R, n)[touched], return_inverse=True)
+    comp = np.full((R, n), -1)
+    comp[touched] = dense
+    return len(found), comp
 
 
 def _shuffled_edge_lists(g, dg):
@@ -206,7 +226,9 @@ def _shuffled_edge_lists(g, dg):
 
 def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
     # Each chunk's block is built in (tail, head) order from one sort of
-    # the edge list, so shuffled edge lists must give the same labels.
+    # the edge list, and its touched pairs are numbered in order, so
+    # shuffled edge lists must give the same labels as one labelling of
+    # every sketch at once, restricted to the touched pairs.
     g, dg, part = _uncovered_instance()
     R = 40
     # Three sketches per chunk, so the last chunk holds one.
@@ -215,18 +237,24 @@ def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
     for graph in (g, dg, *_shuffled_edge_lists(g, dg)):
         sk = sample_sketches(graph, R, 2)
         count, labels = _one_shot_components(graph, sk.edge_masks)
-        assert sk.items.count == count and np.array_equal(sk.items.comp, labels)
+        items = sk.items
+        assert items.count == count and np.array_equal(items.comp, labels)
+        assert np.array_equal(items.lone, (labels < 0).sum(axis=0))
+        for r in range(R):  # sketch r's labels are [offsets[r], offsets[r + 1])
+            found = np.unique(labels[r][labels[r] >= 0]).tolist()
+            assert found == list(range(items.offsets[r], items.offsets[r + 1])), r
         if graph.directed:  # the arcs between SCCs, from every live arc at once
             src, dst = np.array(graph.edges).T
             r, a = np.nonzero(sk.edge_masks)
             tail, head = labels[r, src[a]], labels[r, dst[a]]
             cross = tail != head
             want = sp.csr_matrix((np.ones(np.count_nonzero(cross), dtype=bool),
-                                  (head[cross], tail[cross])), shape=(count, count))
-            assert (sk.items.arcs != want).nnz == 0
+                                  (head[cross], tail[cross])), shape=(count + 1, count + 1))
+            assert (items.arcs != want).nnz == 0
         ev = sk.evaluator(part)
-        want = np.zeros((count, part.num_communities), dtype=np.int64)
-        np.add.at(want, (labels.ravel(), np.tile(part.labels, R)), 1)
+        want = np.zeros((count + 1, part.num_communities), dtype=np.int64)  # null row last
+        touched = labels >= 0
+        np.add.at(want, (labels[touched], np.tile(part.labels, (R, 1))[touched]), 1)
         assert ev.comp_comm.dtype == np.int32 and np.array_equal(ev.comp_comm, want)
 
 
@@ -342,23 +370,113 @@ def test_sketch_components_match_per_sketch_search(monkeypatch):
         part = CommunityPartition(labels=labels)
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
         ev = sk.evaluator(part)
-        members = sk.items.members
-        # Every vertex is the member of its own component alone.
-        assert members.shape == (sk.num_comps, g.n) and members.nnz == R * g.n
-        assert np.unique(sk.comp).tolist() == list(range(sk.num_comps))
+        items = sk.items
+        comp, members = items.comp, items.members
+        # Every touched vertex is the member of its own component alone,
+        # and the null row, after the items, holds no vertex.
+        assert members.shape == (sk.num_comps + 1, g.n)
+        assert members.nnz == np.count_nonzero(comp >= 0) == R * g.n - items.lone.sum()
+        assert members.indptr[-2] == members.indptr[-1]
+        assert np.unique(comp[comp >= 0]).tolist() == list(range(sk.num_comps))
         # No label spans two sketches.
-        assert sum(len(np.unique(row)) for row in sk.comp) == sk.num_comps
+        assert sum(len(np.unique(row[row >= 0])) for row in comp) == sk.num_comps
+        want = np.zeros((sk.num_comps + 1, part.num_communities), dtype=np.int64)
         for r in range(R):
-            found = {}
-            for v, label in enumerate(sk.comp[r]):
-                found.setdefault(int(label), set()).add(v)
-            assert {frozenset(c) for c in found.values()} == _live_components(g, sk.edge_masks[r])
-            for label, comp in found.items():
+            found, lone = {}, set()
+            for v, label in enumerate(comp[r]):
+                if label < 0:
+                    lone.add(v)
+                else:
+                    found.setdefault(int(label), set()).add(v)
+                    want[label, labels[v]] += 1
+            # Items are the components with a live edge; the rest are single vertices.
+            components = _live_components(g, sk.edge_masks[r])
+            assert {frozenset(c) for c in found.values()} == {c for c in components if len(c) > 1}
+            assert {frozenset({v}) for v in lone} == {c for c in components if len(c) == 1}
+            for label, vertices in found.items():
                 got = members.indices[members.indptr[label] : members.indptr[label + 1]]
-                assert sorted(got.tolist()) == sorted(comp), (r, label)
-        want = np.zeros((sk.num_comps, part.num_communities), dtype=np.int64)
-        np.add.at(want, (sk.comp.ravel(), np.tile(labels, R)), 1)
+                assert sorted(got.tolist()) == sorted(vertices), (r, label)
+        assert np.array_equal(items.lone, (comp < 0).sum(axis=0))
         assert np.array_equal(ev.comp_comm, want)
+
+
+def _reach(g, keep):
+    """reach[v]: the vertices v reaches over the live arcs that keep marks
+    (both directions of an undirected edge)."""
+    adj = _live_adjacency(g, keep)
+    if not g.directed:
+        for (u, v), live in zip(g.edges, keep):
+            if live:
+                adj[v].append(u)
+    return [_dfs(adj, [v]) for v in range(g.n)]
+
+
+def _community_counts(vertex_sets, part):
+    counts = np.zeros(part.num_communities, dtype=np.int64)
+    for vertices in vertex_sets:
+        for w in vertices:
+            counts[part.labels[w]] += 1
+    return counts
+
+
+def test_items_hold_only_touched_pairs_and_counts_match_search():
+    # Random graphs of both kinds whose last five vertices join no edge,
+    # at p = 0 (every pair lone), 0.3 and 1 (every edge live).
+    rng = np.random.default_rng(59)
+    R = 9
+    for directed in (False, True):
+        pairs = [(u, v) for u in range(20) for v in range(20) if u != v and (directed or u < v)]
+        for p in (0.0, 0.3, 1.0):
+            edges = tuple(pairs[i] for i in rng.choice(len(pairs), size=30, replace=False))
+            g = Graph(n=25, edges=edges, directed=directed, p=p)
+            part = CommunityPartition(labels=tuple(int(c) for c in rng.integers(0, 3, g.n - 3))
+                                      + (0, 1, 2))
+            sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
+            items = sk.items
+            # Every stored item holds an end of a live arc.
+            src, dst = np.array(g.edges).T
+            r, a = np.nonzero(sk.edge_masks)
+            ends = np.r_[items.comp[r, src[a]], items.comp[r, dst[a]]]
+            assert np.unique(ends).tolist() == list(range(items.count)), (directed, p)
+            lone = [sum(not any(live and v in edge for edge, live in zip(g.edges, keep))
+                        for keep in sk.edge_masks) for v in range(g.n)]
+            assert items.lone.tolist() == lone and min(lone[20:]) == R
+            reach = [_reach(g, keep) for keep in sk.edge_masks]
+            ev = sk.evaluator(part)
+            want = [_community_counts([reach[r][v] for r in range(R)], part) for v in range(g.n)]
+            assert np.array_equal(ev.reach_counts, want), (directed, p)
+            for seeds in ({0}, {3, 21}, {1, 5, 9, 24}):
+                covered = [set().union(*(reach[r][s] for s in seeds)) for r in range(R)]
+                assert np.array_equal(ev.coverage_counts(seeds), _community_counts(covered, part))
+            state = sk.coverage_state(part)
+            covered = [set() for _ in range(R)]
+            for v in (4, 22, 4, 11):  # 4 twice: a repeated pick adds nothing
+                delta = state.add(v)
+                new = [reach[r][v] - covered[r] for r in range(R)]
+                assert np.array_equal(delta, _community_counts(new, part)), (directed, p, v)
+                covered = [c | reach[r][v] for r, c in enumerate(covered)]
+                for u in range(g.n):
+                    gain = _community_counts([reach[r][u] - covered[r] for r in range(R)], part)
+                    assert np.array_equal(state.uncovered[u], gain), (directed, p, v, u)
+                    assert np.array_equal(state.gain_counts(u), gain), (directed, p, v, u)
+            assert np.array_equal(state.counts, _community_counts(covered, part))
+
+
+def test_case_study_shape_peak_bytes_per_pair():
+    # The paper's case-study shape: 16 communities of 372, within 0.01,
+    # between 0.0005, here with R = 200.  Sampling plus a welfare greedy
+    # held about 36 bytes per (sketch, vertex) pair while each lone pair
+    # was an item with a 16-count row; about 19 with lone counts per vertex.
+    g, part = generate_sbm(SbmSpec((372,) * 16, (0.01,) * 16, 0.0005), rng_seed=1)
+    R = 200
+    tracemalloc.start()
+    try:
+        sk = sample_sketches(g, R, 0)
+        greedy_welfare(sk, part, 30, default_params(-2.0, g.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * R * g.n, peak / (R * g.n)
 
 
 def test_sketch_build_allocates_in_live_edges():
@@ -417,14 +535,17 @@ def _dfs(adj, sources):
 
 def test_directed_closure_and_gains_match_bruteforce():
     rng = np.random.default_rng(31)
-    # (n, tails, arcs, p, R): arcs leave only vertices below tails.  The
-    # third is dense: 256 tails form a core in which most pairs are joined
-    # through all 256 of them (a count that wraps to 0 in uint8), plus 44
-    # sinks.  The last has R = 65 sketches, one bit past a whole uint64
-    # word of the estimate's one bit per sketch.
-    for n, tails, m, p, R in ((30, 30, 90, 0.5, 12), (120, 120, 400, 0.35, 6),
-                              (300, 256, 2700, 0.9, 2), (30, 30, 90, 0.5, 65)):
-        pairs = [(u, v) for u in range(tails) for v in range(n) if u != v]
+    # (n, tails, heads, arcs, p, R): arcs leave only vertices below tails
+    # and enter only vertices below heads.  The third is dense: 256 tails
+    # form a core in which most pairs are joined through all 256 of them
+    # (a count that wraps to 0 in uint8), plus 44 sinks.  The fourth has
+    # R = 65 sketches, one bit past a whole uint64 word of the estimate's
+    # one bit per sketch.  The last has ten isolated vertices, lone in
+    # every sketch, which must still reach themselves.
+    for n, tails, heads, m, p, R in ((30, 30, 30, 90, 0.5, 12), (120, 120, 120, 400, 0.35, 6),
+                                     (300, 256, 300, 2700, 0.9, 2), (30, 30, 30, 90, 0.5, 65),
+                                     (40, 30, 30, 60, 0.4, 12)):
+        pairs = [(u, v) for u in range(tails) for v in range(heads) if u != v]
         edges = tuple(pairs[i] for i in rng.choice(len(pairs), size=m, replace=False))
         g = Graph(n=n, edges=edges, directed=True, p=p)
         labels = tuple(int(x) for x in rng.integers(0, 3, n - 3)) + (0, 1, 2)
@@ -517,31 +638,38 @@ def test_directed_items_are_strongly_connected_components():
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
         items = sk.items
         comp = items.comp
-        sizes = np.bincount(comp.ravel())
+        touched = _touched(g, sk.edge_masks)
+        assert np.array_equal(comp >= 0, touched)
+        sizes = np.bincount(comp[touched])
         assert (sizes == 1).any() and (sizes >= 3).any()
         first, reaches = 0, []
         for r in range(R):
             reach = [_dfs(_live_adjacency(g, sk.edge_masks[r]), [v]) for v in range(g.n)]
             reaches.append(reach)
             for v in range(g.n):
-                for w in range(g.n):
+                if not touched[r, v]:  # lone: no arc in or out
+                    assert reach[v] == {v} and not any(v in reach[w] for w in range(g.n) if w != v)
+                    continue
+                for w in np.flatnonzero(touched[r]):
                     mutual = w in reach[v] and v in reach[w]
                     assert (comp[r, v] == comp[r, w]) == mutual, (r, v, w)
             # One contiguous range per sketch, after the previous sketch's.
-            found = np.unique(comp[r]).tolist()
+            found = np.unique(comp[r][touched[r]]).tolist()
             assert found == list(range(first, first + len(found))), r
+            assert (items.offsets[r], items.offsets[r + 1]) == (first, first + len(found))
             first += len(found)
         assert first == items.count
+        assert np.array_equal(items.lone, R - touched.sum(axis=0))
         coverers = [set() for _ in range(items.count)]
         for v in range(g.n):
             got = items.reached[v].tolist()
-            want = {int(comp[r, w]) for r in range(R) for w in reaches[r][v]}
+            want = {int(comp[r, w]) for r in range(R) for w in reaches[r][v] if touched[r, w]}
             assert len(got) == len(want) and set(got) == want, v
             for i in want:
                 coverers[i].add(v)
         members = items.members
-        assert members.shape == (items.count, g.n)
-        for i, want in enumerate(coverers):
+        assert members.shape == (items.count + 1, g.n)
+        for i, want in enumerate([*coverers, set()]):  # the null row is empty
             got = members.indices[members.indptr[i] : members.indptr[i + 1]].tolist()
             assert len(got) == len(want) and set(got) == want, i
 

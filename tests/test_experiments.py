@@ -1,6 +1,7 @@
 """Experiment harness tests (reduced scale; full scale in acceptance)."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -18,7 +19,7 @@ from fairspread.experiments import (
     run_sweep,
 )
 from fairspread.cli import main
-from fairspread.graph import SbmSpec
+from fairspread.graph import CommunityPartition, Graph, SbmSpec
 
 
 def _small_cfg(**overrides):
@@ -44,6 +45,21 @@ def test_config_validation():
         _small_cfg(baselines=("nope",))
     with pytest.raises(InfeasibleError):
         _small_cfg(budgets=(1000,))
+
+
+def test_fixed_graph_config_accepts_its_own_p():
+    # __post_init__ records the graph's p, so copying a config with
+    # dataclasses.replace passes that p back in; only a different p is
+    # an error.
+    g = Graph(n=4, edges=((0, 1), (2, 3)), p=0.4)
+    cfg = ExperimentConfig(graph=g, partition=CommunityPartition(labels=(0, 0, 1, 1)),
+                           budgets=(1,), R=20)
+    assert cfg.p == 0.4
+    copy = dataclasses.replace(cfg, R=10)
+    assert (copy.R, copy.p) == (10, 0.4)
+    assert ExperimentConfig(graph=g, partition=cfg.partition, budgets=(1,), p=0.4).p == 0.4
+    with pytest.raises(GraphFormatError, match="p must not be given with a fixed graph"):
+        dataclasses.replace(cfg, p=0.5)
 
 
 def test_default_alpha_grid():
