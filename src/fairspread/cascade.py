@@ -399,7 +399,8 @@ class _Items:
 
     @cached_property
     def reached(self):
-        """reached[v] lists the items vertex v reaches; -1 stands for none."""
+        """reached[v] lists the items vertex v reaches; an undirected
+        set's list holds -1, the null row, in the sketches where v is lone."""
         if self.arcs is None:
             return self.comp.T
         by_vertex = self.members.T.tocsr()
