@@ -215,62 +215,6 @@ def _block_arcs(chunk, order, src, dst, n):
     return tail, head
 
 
-def _live_components(graph: Graph, edge_masks: np.ndarray):
-    """Strongly connected components of every sketch's live arcs, over
-    the (sketch, vertex) pairs that a live arc touches.
-
-    Returns (count, comp, lone, offsets).  ``comp`` holds the (R, n)
-    labels, -1 at a pair that no live arc touches; the ``count`` labels
-    are unique across sketches, and sketch r's form the range
-    [offsets[r], offsets[r + 1]).  ``lone[v]`` counts the sketches in
-    which no live arc touches v.  Each chunk of ``_live_arcs`` is
-    labelled as one graph of its touched pairs, numbered in order, and
-    its labels are offset by the count of the chunks before it.  The
-    numbering keeps the arcs in CSR order, so the block is built as a
-    CSR matrix directly, its row pointers counted from the tails: the
-    canonical matrix, with no sort.  An undirected graph's strongly
-    connected components are its components.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    R, n = len(edge_masks), graph.n
-    comp = np.empty((R, n), dtype=_vertex_dtype(R, n))
-    lone = np.zeros(n, dtype=np.int64)
-    offsets = np.zeros(R + 1, dtype=np.int64)
-    count = 0
-    for lo, hi, tail, head in _live_arcs(graph, edge_masks):
-        touched = np.zeros((hi - lo) * n, dtype=bool)
-        touched[tail] = True
-        touched[head] = True
-        number = np.cumsum(touched, dtype=comp.dtype)
-        size = int(number[-1])
-        number -= 1
-        # One at a time, so that three arc arrays are held at once, not four.
-        tail = number[tail]
-        head = number[head]
-        del number
-        indptr = np.zeros(size + 1, dtype=comp.dtype)
-        np.cumsum(np.bincount(tail, minlength=size), out=indptr[1:])
-        # float64 weights, connected_components' dtype, spare it a copy.
-        block = sp.csr_matrix((np.ones(len(head)), head, indptr), shape=(size, size))
-        del tail, head
-        found, labels = connected_components(block, directed=graph.directed,
-                                             connection="strong")
-        labels += count
-        rows = comp[lo:hi]
-        rows.fill(-1)
-        # Positions, not the mask: its irregular pattern makes numpy's
-        # masked copies several times slower than index copies.
-        rows.ravel()[np.flatnonzero(touched)] = labels
-        # A sketch's labels end one past its largest, or where the last ended.
-        offsets[lo + 1 : hi + 1] = np.maximum.accumulate(np.maximum(rows.max(axis=1) + 1, count))
-        lone += hi - lo
-        lone -= touched.reshape(-1, n).sum(axis=0)
-        count += int(found)
-    return count, comp, lone, offsets
-
-
 class _ArcBits:
     """Reach over arcs whose liveness is one bit per world, in uint64 words.
 
@@ -326,25 +270,81 @@ class _Items:
     """The coverage items of a sketch set: the strongly connected
     components (SCCs) of each sketch's live arcs that a live arc touches.
 
-    ``comp[r, v]`` is the item holding vertex v in sketch r, labelled as
-    by ``_live_components``, or -1 where no live arc touches v: a lone
-    pair, which only v reaches and which reaches only v.  ``lone[v]``
-    counts v's lone pairs, and sketch r's items are [offsets[r],
-    offsets[r + 1]).  Every per-item array has one trailing null row,
-    which the label -1 indexes: it holds no vertex and no count.
-    ``arcs``, a (count + 1, count + 1) boolean CSR matrix, has entry
-    [i, j] if a live arc leads from item j into item i; an undirected
-    set has none.  A vertex covers every item it reaches: ``members``
-    lists them by item and ``reached`` by vertex.
+    One pass over the chunks of ``_live_arcs`` labels them.  Each chunk
+    is one graph of the (sketch, vertex) pairs that its live arcs touch,
+    numbered in order, and its labels are offset by the count of the
+    chunks before it.  The numbering keeps the arcs in CSR order, so
+    the block is built as a CSR matrix directly, its row pointers
+    counted from the tails: the canonical matrix, with no sort.  An
+    undirected graph's SCCs are its components.
+
+    ``comp[r, v]`` is the item holding vertex v in sketch r, or -1 where
+    no live arc touches v: a lone pair, which only v reaches and which
+    reaches only v.  The ``count`` labels are unique across sketches.
+    ``lone[v]`` counts v's lone pairs, and sketch r's items are
+    [offsets[r], offsets[r + 1]).  Every per-item array has one trailing
+    null row, which the label -1 indexes: it holds no vertex and no
+    count.  ``arcs``, a (count + 1, count + 1) boolean CSR matrix, has
+    entry [i, j] if a live arc leads from item j into item i; a directed
+    set reads them from each chunk's block while it labels it, and an
+    undirected set, or a directed one whose arcs all lie within SCCs,
+    has None.  A vertex covers every item it reaches: ``members`` lists
+    them by item and ``reached`` by vertex.
     """
 
-    def __init__(self, count: int, comp: np.ndarray, lone: np.ndarray, offsets: np.ndarray,
-                 arcs=None):
-        self.count = count
-        self.comp = comp
-        self.lone = lone
-        self.offsets = offsets
-        self.arcs = arcs if arcs is not None and arcs.nnz else None
+    def __init__(self, graph: Graph, edge_masks: np.ndarray):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        R, n = len(edge_masks), graph.n
+        comp = np.empty((R, n), dtype=_vertex_dtype(R, n))
+        lone = np.zeros(n, dtype=np.int64)
+        offsets = np.zeros(R + 1, dtype=np.int64)
+        count, heads, tails = 0, [], []
+        for lo, hi, tail, head in _live_arcs(graph, edge_masks):
+            touched = np.zeros((hi - lo) * n, dtype=bool)
+            touched[tail] = True
+            touched[head] = True
+            number = np.cumsum(touched, dtype=comp.dtype)
+            size = int(number[-1])
+            number -= 1
+            # One at a time, so that three arc arrays are held at once, not four.
+            tail = number[tail]
+            head = number[head]
+            del number
+            indptr = np.zeros(size + 1, dtype=comp.dtype)
+            np.cumsum(np.bincount(tail, minlength=size), out=indptr[1:])
+            # float64 weights, connected_components' dtype, spare it a copy.
+            block = sp.csr_matrix((np.ones(len(head)), head, indptr), shape=(size, size))
+            del tail, head, indptr
+            found, labels = connected_components(block, directed=graph.directed,
+                                                 connection="strong")
+            labels += count
+            if graph.directed:  # the block's arcs as (tail, head) labels
+                tail = np.repeat(labels, np.diff(block.indptr))
+                head = labels[block.indices]
+                cross = tail != head
+                tails.append(tail[cross])
+                heads.append(head[cross])
+                del tail, head, cross
+            del block  # freed before the label copy below allocates its positions
+            rows = comp[lo:hi]
+            rows.fill(-1)
+            # Positions, not the mask: its irregular pattern makes numpy's
+            # masked copies several times slower than index copies.
+            rows.ravel()[np.flatnonzero(touched)] = labels
+            # A sketch's labels end one past its largest, or where the last ended.
+            ends = np.maximum(rows.max(axis=1) + 1, count)
+            offsets[lo + 1 : hi + 1] = np.maximum.accumulate(ends)
+            lone += hi - lo
+            lone -= touched.reshape(-1, n).sum(axis=0)
+            count += int(found)
+        self.count, self.comp, self.lone, self.offsets = count, comp, lone, offsets
+        self.arcs = None
+        if heads and len(head := np.concatenate(heads)):
+            tail = np.concatenate(tails)
+            self.arcs = sp.csr_matrix((np.ones(len(head), dtype=bool), (head, tail)),
+                                      shape=(count + 1, count + 1))
 
     def sketch_chunks(self):
         """(first sketch, local, lo, hi) per chunk of ``_sketch_step``
@@ -419,6 +419,11 @@ class _SketchSet:
         self.edge_masks = _sketch_masks(len(graph.edges), graph.p, R, master_seed)
         self._evaluators: dict[CommunityPartition, "_Evaluator"] = {}
 
+    @cached_property
+    def items(self) -> _Items:
+        """The coverage items of the sketches, labelled on first use."""
+        return _Items(self.graph, self.edge_masks)
+
     def evaluator(self, part: CommunityPartition) -> "_Evaluator":
         """Evaluator for part, shared by every partition equal to it."""
         if part not in self._evaluators:
@@ -435,7 +440,6 @@ class UndirectedSketchSet(_SketchSet):
 
     def __init__(self, graph: Graph, R: int, master_seed):
         super().__init__(graph, R, master_seed)
-        self.items = _Items(*_live_components(graph, self.edge_masks))
         self.num_comps = self.items.count
 
     # The class's own attribute, which bench/tracing.py times.
@@ -444,7 +448,8 @@ class UndirectedSketchSet(_SketchSet):
 
 class DirectedSketchSet(_SketchSet):
     """Live-edge sketches of a directed graph, whose strongly connected
-    components are labelled when a greedy first needs them."""
+    components are labelled when a greedy first needs them.  Estimates
+    need none (see estimate_utilities)."""
 
     @property
     def closure(self) -> np.ndarray:
@@ -456,27 +461,6 @@ class DirectedSketchSet(_SketchSet):
         closure = rows.toarray().reshape(R, n, n).transpose(0, 2, 1)
         closure[:, np.arange(n), np.arange(n)] = True
         return closure
-
-    @cached_property
-    def items(self) -> _Items:
-        """The strongly connected components (SCCs) of each sketch and
-        the live arcs between them.  Estimates need neither (see
-        estimate_utilities)."""
-        import scipy.sparse as sp
-
-        count, comp, lone, offsets = _live_components(self.graph, self.edge_masks)
-        labels, n = comp.ravel(), self.graph.n
-        heads, tails = [], []
-        for lo, _, tail, head in _live_arcs(self.graph, self.edge_masks):
-            first = lo * n  # the chunk's first entry of labels
-            tail, head = labels[first + tail], labels[first + head]
-            cross = tail != head
-            heads.append(head[cross])
-            tails.append(tail[cross])
-        head, tail = np.concatenate(heads), np.concatenate(tails)
-        arcs = sp.csr_matrix((np.ones(len(head), dtype=bool), (head, tail)),
-                             shape=(count + 1, count + 1))
-        return _Items(count, comp, lone, offsets, arcs)
 
     @cached_property
     def arc_bits(self) -> _ArcBits:

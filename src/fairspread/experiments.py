@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import mean, pstdev
 
 from .cascade import sample_sketches
@@ -22,6 +22,7 @@ from .optimize import check_budget, select_seeds
 from .welfare import default_params, pof, total_influence, utility_gap
 
 DEFAULT_ALPHAS = (-9.0, -5.0, -2.0, 0.0, 0.5, 0.9)
+DEFAULT_BUDGETS = (30,)
 BASELINES = ("utilitarian", "maximin", "dc")
 
 
@@ -32,7 +33,7 @@ class ExperimentConfig:
     sbm: SbmSpec | None = None
     graph: Graph | None = None
     partition: CommunityPartition | None = None
-    budgets: tuple[int, ...] | None = None  # None: the study's own, (30,) but for size
+    budgets: tuple[int, ...] | None = None  # None: the study's own, DEFAULT_BUDGETS but for size
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     baselines: tuple[str, ...] = ("utilitarian",)
     replications: int = 20
@@ -123,10 +124,11 @@ def _method_rows(sk, part, k, alphas, baselines, instance, replication):
     return rows
 
 
-def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | None):
-    """All replications of one configuration level."""
-    if cfg.budgets is None:  # the default, checked before the level's first graph
-        check_budget(30, sbm.n if sbm is not None else cfg.graph.n)
+def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | None,
+               budgets: tuple[int, ...]):
+    """All replications of one configuration level, each at every budget."""
+    for k in budgets:  # checked before the level's first graph
+        check_budget(k, sbm.n if sbm is not None else cfg.graph.n)
     rows: list[ResultRow] = []
     for rep in range(cfg.replications):
         seed_key = (cfg.master_seed, level, rep)
@@ -135,7 +137,7 @@ def _run_level(cfg: ExperimentConfig, instance: str, level: int, sbm: SbmSpec | 
         else:
             g, part = cfg.graph, cfg.partition
         sk = sample_sketches(g, cfg.R, seed_key)
-        for k in cfg.budgets or (30,):
+        for k in budgets:
             rows += _method_rows(sk, part, k, cfg.alphas, cfg.baselines, instance, str(rep))
     rows.extend(_aggregate(rows))
     return rows
@@ -182,7 +184,7 @@ def _stat_or_none(stat, values):
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Alpha/baseline sweep on one configuration (single level)."""
-    return _run_level(cfg, "sweep", 0, cfg.sbm)
+    return _run_level(cfg, "sweep", 0, cfg.sbm, cfg.budgets or DEFAULT_BUDGETS)
 
 
 def _study_sbm(cfg: ExperimentConfig, study: str, communities: int) -> SbmSpec:
@@ -210,7 +212,7 @@ def relative_connectedness_experiment(
             (base.within_prob[0], base.within_prob[1], q3),
             base.between_prob,
         )
-        rows.extend(_run_level(cfg, f"q3={q3:.2f}", level, sbm))
+        rows.extend(_run_level(cfg, f"q3={q3:.2f}", level, sbm, cfg.budgets or DEFAULT_BUDGETS))
     return rows
 
 
@@ -232,8 +234,7 @@ def relative_size_experiment(
     for level, ratio in enumerate(ratios):
         sizes = (base.community_sizes[0], base.community_sizes[0] * ratio)
         sbm = SbmSpec(sizes, base.within_prob, base.between_prob)
-        level_cfg = replace(cfg, budgets=(max(1, sbm.n // 10),))
-        rows.extend(_run_level(level_cfg, f"ratio={ratio}", level, sbm))
+        rows.extend(_run_level(cfg, f"ratio={ratio}", level, sbm, (max(1, sbm.n // 10),)))
     return rows
 
 

@@ -258,6 +258,26 @@ def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
         assert ev.comp_comm.dtype == np.int32 and np.array_equal(ev.comp_comm, want)
 
 
+def test_items_scan_the_keep_masks_once(monkeypatch):
+    # A directed set reads the arcs between its SCCs from each chunk's
+    # block while it labels the chunk, so building its items walks the
+    # live arcs once; an undirected set has no such arcs.
+    g, dg, _ = _uncovered_instance()
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
+    scans = []
+    live_arcs = cascade._live_arcs
+
+    def counted(graph, edge_masks):
+        scans.append(graph.directed)
+        yield from live_arcs(graph, edge_masks)
+
+    monkeypatch.setattr(cascade, "_live_arcs", counted)
+    sk = sample_sketches(dg, 40, 2)
+    assert scans == []  # labelled on first use
+    assert sk.items.arcs is not None and scans == [True]
+    assert sample_sketches(g, 40, 2).items.arcs is None and scans == [True, False]
+
+
 def test_uncovered_rows_track_gain_counts_across_chunks(monkeypatch):
     # The first pick covers the most member rows, several of add's row chunks.
     g, dg, part = _uncovered_instance()

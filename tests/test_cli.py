@@ -555,13 +555,22 @@ def check(step):
 import fairspread
 check("import fairspread")
 from fairspread.cli import main
-graph, spec, out = sys.argv[1:]
+graph, spec, out, directed = sys.argv[1:]
 for argv in (["gen-sbm", "--spec", spec, "--seed", "3", "--out", out],
              ["exact", "--graph", graph, "0", "4"],
              ["exact", "--graph", graph, "--k", "2", "--method", "maximin"],
-             ["verify"]):
+             ["verify"],
+             ["metrics", "--graph", directed, "0", "4", "--sketches", "20"]):
     assert main(argv) == 0, argv
     check(argv[0])
+# Directed estimates propagate over the keep-masks and label no items.
+from fairspread.cascade import estimate_utilities, sample_sketches
+from fairspread.graph import SeedSet, load_graph
+g, part = load_graph(directed)
+sk = sample_sketches(g, 20, 0)
+estimate_utilities(sk, SeedSet(frozenset({0, 4}), 2), part)
+assert "items" not in vars(sk)
+check("a directed estimate")
 try:
     code = main(["select", "--graph", graph, "--k", "1", "--sketches", "0"])
 except SystemExit as exc:
@@ -578,7 +587,13 @@ def _fresh(code, *args):
 
 
 def test_commands_without_sketches_do_not_load_scipy(graph_file, spec_file, tmp_path):
-    done = _fresh(_SCIPY_GUARD, graph_file, spec_file, tmp_path / "sbm.json")
+    directed = tmp_path / "directed.json"
+    directed.write_text(json.dumps({
+        "n": 8, "directed": True, "p": 0.5,
+        "edges": [[0, 1], [1, 2], [2, 0], [2, 3], [4, 5], [5, 4], [5, 6], [7, 6]],
+        "communities": [0, 0, 0, 0, 1, 1, 1, 1],
+    }))
+    done = _fresh(_SCIPY_GUARD, graph_file, spec_file, tmp_path / "sbm.json", directed)
     assert done.returncode == 0, done.stderr
     # The guard can fail: a select that draws sketches loads scipy.sparse.
     select = ("import sys; from fairspread.cli import main; "
