@@ -12,9 +12,10 @@ cascade can traverse an edge in at most one consequential direction.)
 An exact oracle enumerates live-edge realizations for small graphs and
 returns rational utilities.
 
-scipy.sparse is imported only by the functions that build a sketch
-set's sparse matrices or label its components, so a command that draws
-no sketches never loads it.
+Both estimators propagate seeds over one live-arc kernel, ``_ArcBits``.
+Only a greedy labels a sketch set's coverage items, and scipy.sparse is
+imported only to label them or build their sparse matrices, so a
+command that only estimates never loads it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -219,17 +221,20 @@ class _ArcBits:
     """Reach over arcs whose liveness is one bit per world, in uint64 words.
 
     A world is one coin subset in the exact oracle and one sketch in
-    directed estimates.  Rows are the vertices that arcs join; bit b of
-    ``keep[a]`` is set iff arc a (``tail[a]`` to ``head[a]``) is live in
-    world b, and ``full`` has a bit for every world, the bits a start
-    row holds.
+    estimates.  Rows are the vertices that edges join; bit b of
+    ``keep[a]`` is set iff edge a (``ends[a]``) is live in world b, and
+    ``full`` has a bit for every world, the bits a start row holds.  A
+    directed edge is one arc, tail to head; an undirected one is two,
+    which share its bits.
     """
 
-    def __init__(self, rows: int, tail, head, keep, full):
+    def __init__(self, rows: int, ends, keep, full, directed: bool):
+        if not directed:  # both directions of an edge share its bits
+            ends, keep = np.r_[ends, ends[:, ::-1]], np.r_[keep, keep]
         # The arcs by tail row: row u's out-arcs are [first[u], first[u] + degree[u]).
-        by_tail = np.argsort(tail, kind="stable")
-        self.head, self.keep, self.full = head[by_tail], keep[by_tail], full
-        self.degree = np.bincount(tail, minlength=rows)
+        by_tail = np.argsort(ends[:, 0], kind="stable")
+        self.head, self.keep, self.full = ends[by_tail, 1], keep[by_tail], full
+        self.degree = np.bincount(ends[:, 0], minlength=rows)
         self.first = np.cumsum(self.degree) - self.degree
 
     def reach(self, starts) -> np.ndarray:
@@ -424,6 +429,17 @@ class _SketchSet:
         """The coverage items of the sketches, labelled on first use."""
         return _Items(self.graph, self.edge_masks)
 
+    @cached_property
+    def arc_bits(self) -> _ArcBits:
+        """The edges with one bit per sketch, which estimates propagate over."""
+        R = self.R
+        words = -(-R // 64)
+        keep = np.zeros((len(self.graph.edges), 8 * words), dtype=np.uint8)
+        keep[:, : -(-R // 8)] = np.packbits(self.edge_masks.T, axis=1, bitorder="little")
+        full = np.packbits(np.arange(64 * words) < R, bitorder="little").view(np.uint64)
+        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2)
+        return _ArcBits(self.graph.n, ends, keep.view(np.uint64), full, self.graph.directed)
+
     def evaluator(self, part: CommunityPartition) -> "_Evaluator":
         """Evaluator for part, shared by every partition equal to it."""
         if part not in self._evaluators:
@@ -435,12 +451,7 @@ class _SketchSet:
 
 
 class UndirectedSketchSet(_SketchSet):
-    """Live-edge sketches of an undirected graph, whose components,
-    labelled when the set is built, are its coverage items."""
-
-    def __init__(self, graph: Graph, R: int, master_seed):
-        super().__init__(graph, R, master_seed)
-        self.num_comps = self.items.count
+    """Live-edge sketches of an undirected graph, whose components are its coverage items."""
 
     # The class's own attribute, which bench/tracing.py times.
     evaluator = _SketchSet.evaluator
@@ -448,8 +459,7 @@ class UndirectedSketchSet(_SketchSet):
 
 class DirectedSketchSet(_SketchSet):
     """Live-edge sketches of a directed graph, whose strongly connected
-    components are labelled when a greedy first needs them.  Estimates
-    need none (see estimate_utilities)."""
+    components are its coverage items."""
 
     @property
     def closure(self) -> np.ndarray:
@@ -462,30 +472,19 @@ class DirectedSketchSet(_SketchSet):
         closure[:, np.arange(n), np.arange(n)] = True
         return closure
 
-    @cached_property
-    def arc_bits(self) -> _ArcBits:
-        """The arcs with one bit per sketch, which estimates propagate over."""
-        R = self.R
-        words = -(-R // 64)
-        keep = np.zeros((len(self.graph.edges), 8 * words), dtype=np.uint8)
-        keep[:, : -(-R // 8)] = np.packbits(self.edge_masks.T, axis=1, bitorder="little")
-        full = np.packbits(np.arange(64 * words) < R, bitorder="little").view(np.uint64)
-        tail, head = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2).T
-        return _ArcBits(self.graph.n, tail, head, keep.view(np.uint64), full)
-
 
 class _Evaluator:
     """Community counts of the coverage items of one sketch set under one partition.
 
     ``comp_comm[i, c]`` counts community c's vertices in item i, and
     its null row is zero.  An item holds at most n vertices, so the
-    counts are int32; every sum over items (``reach_counts``,
-    ``coverage_counts``, a state's ``counts``) is int64.  ``lone_comm[v]``
-    counts v's lone pairs in v's community: what v alone covers outside
-    the items.  ``reach_counts`` is built from the member index on first
-    use, so an evaluator that only estimates utilities never builds the
-    index.  The evaluator keeps the sketch set's items, not the set, so
-    that the set's evaluator cache forms no reference cycle.
+    counts are int32; every sum over items (``reach_counts``, a state's
+    ``counts``) is int64.  ``lone_comm[v]`` counts v's lone pairs in v's
+    community: what v alone covers outside the items.  Only coverage
+    states use an evaluator, so building one labels the items;
+    estimates build none.  The evaluator keeps the sketch set's items,
+    not the set, so that the set's evaluator cache forms no reference
+    cycle.
     """
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
@@ -521,15 +520,6 @@ class _Evaluator:
         for lo, hi in zip([0, *cuts], [*cuts, self.items.count]):
             G += members[lo:hi].T @ self.comp_comm[lo:hi].astype(np.int64)
         return G
-
-    def coverage_counts(self, seeds) -> np.ndarray:
-        """Influenced counts per community summed over all sketches."""
-        seeds = sorted(set(seeds))
-        if not seeds:
-            return np.zeros(self.part.num_communities, dtype=np.int64)
-        flags = np.zeros(self.items.count + 1, dtype=bool)
-        flags[np.concatenate([self.items.reached[v] for v in seeds])] = True
-        return self.comp_comm[flags].sum(axis=0, dtype=np.int64) + self.lone_comm[seeds].sum(axis=0)
 
 
 class CoverageState:
@@ -620,16 +610,25 @@ def sample_sketches(g: Graph, R: int, master_seed) -> SketchSet:
 def estimate_utilities(sk: SketchSet, seeds: SeedSet, part: CommunityPartition) -> UtilityVector:
     """Sketch-averaged utilities; pure function of (sketches, seeds, part)."""
     seeds.check_ids(sk.graph.n)
-    if isinstance(sk, UndirectedSketchSet):
-        counts = sk.evaluator(part).coverage_counts(seeds.vertices)
-    else:
-        if len(part.labels) != sk.graph.n:
-            raise GraphFormatError("community partition does not match sketch graph")
-        table = sk.arc_bits.reach([list(seeds.vertices)])[0]
-        reached = np.bitwise_count(table).sum(axis=1, dtype=np.int64)  # sketches per vertex
-        counts = np.zeros(part.num_communities, dtype=np.int64)
-        np.add.at(counts, np.asarray(part.labels), reached)
-    return counts_utilities(counts, sk.R, part)
+    return next(_estimates(sk, iter([list(seeds.vertices)]), part))
+
+
+def _estimates(sk: SketchSet, seed_lists, part: CommunityPartition):
+    """Yield the sketch-averaged utilities of each list of seeds that the
+    iterator ``seed_lists`` yields, in turn.
+
+    The lists go to ``arc_bits.reach`` in batches whose (lists, n, words)
+    table holds about ``_CHUNK_BYTES``; a vertex counts once for each
+    sketch in which it is reached.
+    """
+    if len(part.labels) != sk.graph.n:
+        raise GraphFormatError("community partition does not match sketch graph")
+    onehot = np.equal.outer(part.labels, np.arange(part.num_communities)).astype(np.int64)
+    size = max(1, _CHUNK_BYTES // (8 * sk.graph.n * len(sk.arc_bits.full)))
+    while batch := list(islice(seed_lists, size)):
+        reached = np.bitwise_count(sk.arc_bits.reach(batch)).sum(axis=2, dtype=np.int64)
+        for counts in reached @ onehot:
+            yield counts_utilities(counts, sk.R, part)
 
 
 def counts_utilities(counts, R: int, part: CommunityPartition) -> UtilityVector:
@@ -691,9 +690,7 @@ class _LiveEdgeSubsets:
         self.sizes = sizes
         self.numerators = [a**j * (b - a) ** (coins - j) for j in range(coins + 1)]
         self.denominator = b**coins
-        if not g.directed:  # both directions of an edge share its coin
-            ends, keep = np.r_[ends, ends[:, ::-1]], np.r_[keep, keep]
-        self.arc_bits = _ArcBits(len(endpoints), *self.row[ends].T, keep, full)
+        self.arc_bits = _ArcBits(len(endpoints), self.row[ends], keep, full, g.directed)
 
     def utilities(self, table: np.ndarray, seeds) -> UtilityVector:
         """Exact utilities of a seed set whose reach table is ``table``.

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, tee
 
 import numpy as np
 
 from .cascade import (
     SketchSet,
     UtilityVector,
+    _estimates,
     _LiveEdgeSubsets,
     counts_utilities,
-    estimate_utilities,
     sample_sketches,
 )
 from .errors import EnumerationLimitError, GraphFormatError, InfeasibleError
@@ -432,9 +432,10 @@ def enumerate_seed_set_utilities(
             f"C({g.n}, {k}) exceeds the exhaustive limit {limit}"
         )
     if sketches is not None:
-        for combo in combinations(range(g.n), k):
-            seeds = SeedSet(vertices=frozenset(combo), k=max(k, 1))
-            yield combo, estimate_utilities(sketches, seeds, part)
+        if k and g.n > sketches.graph.n:
+            raise GraphFormatError(f"invalid seed id {sketches.graph.n}")
+        combos, batched = tee(combinations(range(g.n), k))
+        yield from zip(combos, _estimates(sketches, batched, part))
         return
 
     # The reach table of a seed set is the union of its members' single-

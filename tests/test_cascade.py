@@ -17,6 +17,7 @@ from fairspread.cascade import (
     DirectedSketchSet,
     UndirectedSketchSet,
     UtilityVector,
+    counts_utilities,
     estimate_utilities,
     exact_utilities,
     sample_sketches,
@@ -126,9 +127,8 @@ def test_coverage_state_agrees_with_batch_counts():
     state = sk.coverage_state(part)
     for v in (3, 30, 11):
         state.add(v)
-    u_inc = state.counts
-    u_batch = sk.evaluator(part).coverage_counts({3, 30, 11})
-    assert np.array_equal(u_inc, u_batch)
+    u_batch = estimate_utilities(sk, SeedSet(frozenset({3, 30, 11}), 3), part)
+    assert counts_utilities(state.counts, sk.R, part) == u_batch
 
 
 def test_evaluator_shared_by_equal_partitions():
@@ -338,6 +338,7 @@ def test_member_index_build_peak_stays_near_its_bytes(monkeypatch):
     # int32 added about half of the index's bytes.
     g, _ = generate_sbm(SbmSpec((500, 500, 500), (0.012, 0.006, 0.006), 0.001), rng_seed=7)
     sk = sample_sketches(g, 600, 0)
+    sk.items  # labelled before the trace, which measures the index build alone
     monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 10)
     tracemalloc.start()
     try:
@@ -394,13 +395,13 @@ def test_sketch_components_match_per_sketch_search(monkeypatch):
         comp, members = items.comp, items.members
         # Every touched vertex is the member of its own component alone,
         # and the null row, after the items, holds no vertex.
-        assert members.shape == (sk.num_comps + 1, g.n)
+        assert members.shape == (items.count + 1, g.n)
         assert members.nnz == np.count_nonzero(comp >= 0) == R * g.n - items.lone.sum()
         assert members.indptr[-2] == members.indptr[-1]
-        assert np.unique(comp[comp >= 0]).tolist() == list(range(sk.num_comps))
+        assert np.unique(comp[comp >= 0]).tolist() == list(range(items.count))
         # No label spans two sketches.
-        assert sum(len(np.unique(row[row >= 0])) for row in comp) == sk.num_comps
-        want = np.zeros((sk.num_comps + 1, part.num_communities), dtype=np.int64)
+        assert sum(len(np.unique(row[row >= 0])) for row in comp) == items.count
+        want = np.zeros((items.count + 1, part.num_communities), dtype=np.int64)
         for r in range(R):
             found, lone = {}, set()
             for v, label in enumerate(comp[r]):
@@ -467,7 +468,13 @@ def test_items_hold_only_touched_pairs_and_counts_match_search():
             assert np.array_equal(ev.reach_counts, want), (directed, p)
             for seeds in ({0}, {3, 21}, {1, 5, 9, 24}):
                 covered = [set().union(*(reach[r][s] for s in seeds)) for r in range(R)]
-                assert np.array_equal(ev.coverage_counts(seeds), _community_counts(covered, part))
+                want = counts_utilities(_community_counts(covered, part), R, part)
+                state = sk.coverage_state(part)
+                for v in seeds:
+                    state.add(v)
+                assert counts_utilities(state.counts, R, part) == want, (directed, p, seeds)
+                u = estimate_utilities(sk, SeedSet(frozenset(seeds), len(seeds)), part)
+                assert u == want, (directed, p, seeds)
             state = sk.coverage_state(part)
             covered = [set() for _ in range(R)]
             for v in (4, 22, 4, 11):  # 4 twice: a repeated pick adds nothing

@@ -560,17 +560,19 @@ for argv in (["gen-sbm", "--spec", spec, "--seed", "3", "--out", out],
              ["exact", "--graph", graph, "0", "4"],
              ["exact", "--graph", graph, "--k", "2", "--method", "maximin"],
              ["verify"],
-             ["metrics", "--graph", directed, "0", "4", "--sketches", "20"]):
+             ["metrics", "--graph", directed, "0", "4", "--sketches", "20"],
+             ["metrics", "--graph", graph, "0", "4", "--sketches", "20"]):
     assert main(argv) == 0, argv
     check(argv[0])
-# Directed estimates propagate over the keep-masks and label no items.
+# Estimates propagate over the keep-masks and label no items.
 from fairspread.cascade import estimate_utilities, sample_sketches
 from fairspread.graph import SeedSet, load_graph
-g, part = load_graph(directed)
-sk = sample_sketches(g, 20, 0)
-estimate_utilities(sk, SeedSet(frozenset({0, 4}), 2), part)
-assert "items" not in vars(sk)
-check("a directed estimate")
+for path in (directed, graph):
+    g, part = load_graph(path)
+    sk = sample_sketches(g, 20, 0)
+    estimate_utilities(sk, SeedSet(frozenset({0, 4}), 2), part)
+    assert "items" not in vars(sk)
+    check(f"an estimate on {path}")
 try:
     code = main(["select", "--graph", graph, "--k", "1", "--sketches", "0"])
 except SystemExit as exc:

@@ -2,13 +2,14 @@
 
 import gc
 import heapq
+import itertools
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from fairspread import optimize
+from fairspread import cascade, optimize
 from fairspread.cascade import (
     CoverageState,
     UtilityVector,
@@ -576,6 +577,33 @@ def test_enumerate_utilities_count():
     combos = list(enumerate_seed_set_utilities(g, part, 2))
     assert len(combos) == 28
     assert all(len(u.values) == 2 for _, u in combos)
+
+
+def test_enumeration_on_sketches_matches_estimates_across_batches(monkeypatch):
+    # Seed sets reach the kernel seven at a time, so every k leaves a
+    # partial last batch (12, 66 and 220 sets).
+    g, part = _instance(3, sizes=(6, 6), q=0.4, between=0.1)
+    dg = Graph(n=g.n, edges=g.edges + tuple((v, u) for u, v in g.edges[::2]), directed=True, p=g.p)
+    R = 100
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 2 * 7)  # two words per row
+    calls = []
+    reach = cascade._ArcBits.reach
+
+    def counted(self, starts):
+        calls.append(len(starts))
+        return reach(self, starts)
+
+    monkeypatch.setattr(cascade._ArcBits, "reach", counted)
+    for graph in (g, dg):
+        sk = sample_sketches(graph, R, 4)
+        for k in (1, 2, 3):
+            calls.clear()
+            got = list(enumerate_seed_set_utilities(graph, part, k, sketches=sk))
+            total = math.comb(g.n, k)
+            assert calls == [7] * (total // 7) + [total % 7], (graph.directed, k)
+            want = [(combo, estimate_utilities(sk, SeedSet(frozenset(combo), k), part))
+                    for combo in itertools.combinations(range(g.n), k)]
+            assert got == want, (graph.directed, k)
 
 
 def test_submodularity_spot_check():
