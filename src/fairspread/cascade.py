@@ -193,7 +193,7 @@ def _live_arcs(graph: Graph, edge_masks: np.ndarray):
     """
     R, n = len(edge_masks), graph.n
     index = _vertex_dtype(R, n)
-    edges = np.array(graph.edges, dtype=index).reshape(-1, 2)
+    edges = graph.edge_array.astype(index)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     src, dst = edges[order].T
     step = _sketch_step(n)
@@ -245,16 +245,21 @@ class _ArcBits:
         about ``_CHUNK_BYTES`` of rows, ANDs each row with the keep-words of
         its out-arcs and ORs the results into the heads' rows; the rows
         that grew join the queue, so an arc is followed again only after
-        its tail has gained worlds.
+        its tail has gained worlds.  A pair waits in the queue at most
+        once: one that grows while it waits is read when it is popped,
+        with every world it gained, and joins again only after that.
         """
         E, W = len(self.degree), len(self.full)
         table = np.zeros((len(starts) * E, W), dtype=np.uint64)
-        queue = np.array([i * E + row for i, start in enumerate(starts) for row in start],
-                         dtype=np.int64)
+        pairs = [i * E + row for i, start in enumerate(starts) for row in start]
+        queue = np.unique(np.array(pairs, dtype=np.int64))
         table[queue] = self.full
+        queued = np.zeros(len(table), dtype=bool)
+        queued[queue] = True
         batch = max(1, _CHUNK_BYTES // (8 * W * self.degree.max(initial=1)))
         while len(queue):
             pairs, queue = queue[:batch], queue[batch:]
+            queued[pairs] = False
             tail = pairs % E
             degree = self.degree[tail]
             ends = degree.cumsum()
@@ -266,8 +271,11 @@ class _ArcBits:
             new = table[pairs.repeat(degree)[by_head]] & self.keep[arc[by_head]]
             new = np.bitwise_or.reduceat(new, cut, axis=0) | old
             grew = (new != old).any(axis=1)
-            table[rows[grew]] = new[grew]
-            queue = np.concatenate([queue, rows[grew]])
+            rows = rows[grew]
+            table[rows] = new[grew]
+            rows = rows[~queued[rows]]
+            queued[rows] = True
+            queue = np.concatenate([queue, rows])
         return table.reshape(len(starts), E, W)
 
 
@@ -437,8 +445,8 @@ class _SketchSet:
         keep = np.zeros((len(self.graph.edges), 8 * words), dtype=np.uint8)
         keep[:, : -(-R // 8)] = np.packbits(self.edge_masks.T, axis=1, bitorder="little")
         full = np.packbits(np.arange(64 * words) < R, bitorder="little").view(np.uint64)
-        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2)
-        return _ArcBits(self.graph.n, ends, keep.view(np.uint64), full, self.graph.directed)
+        return _ArcBits(self.graph.n, self.graph.edge_array, keep.view(np.uint64), full,
+                        self.graph.directed)
 
     def evaluator(self, part: CommunityPartition) -> "_Evaluator":
         """Evaluator for part, shared by every partition equal to it."""
@@ -512,13 +520,21 @@ class _Evaluator:
 
         Summed in int64 over chunks of item rows, since the sparse product
         multiplies a copy of the index's data, one chunk of it at a time.
+        Each chunk is a CSR matrix over views of the index's ``indices``
+        and ``data``, which slicing the index would copy.
         """
+        import scipy.sparse as sp
+
         members = self.items.members
+        indptr = members.indptr
         G = self.lone_comm.copy()
         per_chunk = _CHUNK_BYTES // 8
-        cuts = np.searchsorted(members.indptr, np.arange(per_chunk, members.nnz, per_chunk))
+        cuts = np.searchsorted(indptr, np.arange(per_chunk, members.nnz, per_chunk))
         for lo, hi in zip([0, *cuts], [*cuts, self.items.count]):
-            G += members[lo:hi].T @ self.comp_comm[lo:hi].astype(np.int64)
+            first, last = indptr[lo], indptr[hi]
+            block = sp.csr_matrix((members.data[first:last], members.indices[first:last],
+                                   indptr[lo : hi + 1] - first), shape=(hi - lo, self.n))
+            G += block.T @ self.comp_comm[lo:hi].astype(np.int64)
         return G
 
 
@@ -655,15 +671,14 @@ class _LiveEdgeSubsets:
     def __init__(self, g: Graph, part: CommunityPartition):
         if len(part.labels) != g.n:
             raise GraphFormatError("community partition does not match graph")
-        live = g.edges if g.p > 0 else ()
-        coins = len(live) if g.p < 1 else 0
+        ends = g.edge_array if g.p > 0 else g.edge_array[:0]
+        coins = len(ends) if g.p < 1 else 0
         if coins > EXACT_COIN_LIMIT:
             raise EnumerationLimitError(
                 f"{coins} coins exceed the enumeration limit {EXACT_COIN_LIMIT} "
                 "with p not in {0, 1}"
             )
         self.part = part
-        ends = np.array(live, dtype=np.int64).reshape(-1, 2)
         endpoints = np.unique(ends)
         self.row = np.full(g.n, -1)
         self.row[endpoints] = np.arange(len(endpoints))
@@ -679,7 +694,7 @@ class _LiveEdgeSubsets:
         subset = np.r_[np.arange(1 << coins), np.full(len(padding), 1 << coins)].astype(np.uint32)
         subset = subset[np.argsort(np.r_[group, padding], kind="stable")]
         full = np.packbits(subset < 1 << coins).view(np.uint64)  # reached in every subset
-        keep = np.full((len(live), len(full)), np.iinfo(np.uint64).max, dtype=np.uint64)
+        keep = np.full((len(ends), len(full)), np.iinfo(np.uint64).max, dtype=np.uint64)
         for a in range(coins):
             keep[a] = np.packbits((subset >> a) & 1 != 0).view(np.uint64)
         # A subset with j of its coins live has probability

@@ -247,8 +247,7 @@ def _cmd_exact(args) -> int:
     else:
         params = default_params(args.alpha, g.n) if args.method == "welfare" else None
         objective = {"welfare": "welfare", "utilitarian": "total", "maximin": "maximin"}
-        seeds, value = exhaustive_opt(g, part, args.k, objective[args.method], params)
-        u = exact_utilities(g, seeds, part)
+        seeds, value, u = exhaustive_opt(g, part, args.k, objective[args.method], params)
         text = _selection_report(args, seeds.vertices, u, {"objective_value": value})
     _write_or_print(args, text)
     _emit_metadata(args, vars(args))

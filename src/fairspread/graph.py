@@ -23,30 +23,29 @@ class Graph:
     """A simple graph with a uniform propagation probability.
 
     Undirected edges are stored once and expanded to two arcs at
-    simulation time.
+    simulation time.  ``edges`` is a tuple of int pairs; ``edge_array``
+    holds the same pairs as a read-only (m, 2) int64 array, which the
+    sketch and oracle code reads.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     directed: bool = False
     p: float = 0.25
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise GraphFormatError("vertex count must be non-negative")
         if not (0.0 <= self.p <= 1.0):
             raise GraphFormatError(f"propagation probability {self.p} outside [0, 1]")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        ends = _simple_edge_array(self.edges, self.n, self.directed)
+        if ends is None:
+            ends = np.array(_checked_edges(self.edges, self.n, self.directed),
+                            dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))
+        object.__setattr__(self, "edge_array", ends)
 
     @property
     def num_arcs(self) -> int:
@@ -62,6 +61,52 @@ class Graph:
         for lst in adj:
             lst.sort()
         return adj
+
+
+def _simple_edge_array(edges, n: int, directed: bool) -> np.ndarray | None:
+    """edges as an (m, 2) int64 array if they are integer pairs that form a
+    simple graph on n vertices, else None.
+
+    numpy checks ranges, self-loops and repeats at once.  Input it cannot
+    hold as integer pairs (Python ints beyond int64, floats, entries that
+    are not pairs) and input that fails a check return None, for
+    ``_checked_edges`` to report as it always has.
+    """
+    try:
+        ends = np.array(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+    except (TypeError, ValueError):  # no length, or entries of unequal lengths
+        return None
+    if ends.dtype.kind not in "iu" or ends.shape != (len(edges), 2):
+        return None
+    if ((ends < 0) | (ends >= n)).any():
+        return None
+    ends = ends.astype(np.int64, copy=False)
+    keys = ends if directed else np.sort(ends, axis=1)
+    # Equal keys give equal codes even where the product wraps; a wrapped
+    # collision of unequal keys only sends the edges to _checked_edges.
+    codes = keys[:, 0] * (int(ends.max(initial=0)) + 1) + keys[:, 1]
+    codes.sort()
+    if (ends[:, 0] == ends[:, 1]).any() or (codes[1:] == codes[:-1]).any():
+        return None
+    return ends
+
+
+def _checked_edges(edges, n: int, directed: bool) -> list[tuple[int, int]]:
+    """edges as int pairs, checked one at a time: raises GraphFormatError at
+    the first edge out of range, self-loop or repeat, in edge order, and
+    unpacking raises at an entry that is not a pair."""
+    seen, pairs = set(), []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        pairs.append((int(u), int(v)))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -217,11 +262,10 @@ def induced_within_community_subgraph(
     if not (0 <= c < part.num_communities):
         raise GraphFormatError(f"community id {c} out of range")
     members = part.members(c)
-    remap = {orig: new for new, orig in enumerate(members)}
-    sub_edges = tuple(
-        (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
-    )
-    sub = Graph(n=len(members), edges=sub_edges, directed=g.directed, p=g.p)
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[members] = np.arange(len(members))
+    ends = remap[g.edge_array]
+    sub = Graph(n=len(members), edges=ends[(ends >= 0).all(axis=1)], directed=g.directed, p=g.p)
     return sub, members
 
 

@@ -456,8 +456,9 @@ def exhaustive_opt(
     params: WelfareParams | None = None,
     sketches: SketchSet | None = None,
     limit: int = EXHAUSTIVE_LIMIT,
-) -> tuple[SeedSet, float]:
-    """Brute-force optimal budget-k seed set; ties broken lexicographically.
+) -> tuple[SeedSet, float, UtilityVector]:
+    """Brute-force optimal budget-k seed set, its objective value and its
+    utilities from the enumeration; ties broken lexicographically.
 
     objective is one of "total", "welfare" (requires params) or
     "maximin".  Welfare values are baseline-shifted (see module doc);
@@ -470,18 +471,15 @@ def exhaustive_opt(
         raise InfeasibleError("budget must be >= 0")
     if k == 0:
         u = UtilityVector(values=(0.0,) * part.num_communities, sizes=part.sizes)
-        return SeedSet(vertices=frozenset(), k=0), float(
-            _objective_value(u, objective, params)
-        )
+        return SeedSet(vertices=frozenset(), k=0), float(_objective_value(u, objective, params)), u
     check_budget(k, g.n)
-    best_combo = None
-    best_val = None
+    best = None
     for combo, u in enumerate_seed_set_utilities(g, part, k, sketches, limit):
         val = _objective_value(u, objective, params)
-        if best_val is None or val > best_val:
-            best_val = val
-            best_combo = combo
-    return SeedSet(vertices=frozenset(best_combo), k=k), float(best_val)
+        if best is None or val > best[1]:
+            best = combo, val, u
+    combo, val, u = best
+    return SeedSet(vertices=frozenset(combo), k=k), float(val), u
 
 
 def _objective_value(u: UtilityVector, objective: str, params: WelfareParams | None):

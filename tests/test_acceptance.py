@@ -204,7 +204,7 @@ def test_criterion_5_greedy_quality():
         for alpha in (-5.0, -2.0, 0.0, 0.5, 0.9):
             params = default_params(alpha, g.n)
             _, trace = greedy_welfare(sk, part, 3, params)
-            _, best = exhaustive_opt(g, part, 3, "welfare", params, sketches=sk)
+            _, best, _ = exhaustive_opt(g, part, 3, "welfare", params, sketches=sk)
             assert trace.objective_after_each[-1] <= best + 1e-9
             if best > 0:
                 ratio = trace.objective_after_each[-1] / best
@@ -337,7 +337,7 @@ def test_criterion_7_leximin_limit():
                 break
         part = CommunityPartition(labels=labels)
         params = WelfareParams(-20.0, 1.0 / (2 * n))
-        opt, _ = exhaustive_opt(g, part, 2, "welfare", params)
+        opt, _, _ = exhaustive_opt(g, part, 2, "welfare", params)
         table = dict(enumerate_seed_set_utilities(g, part, 2))
         opt_u = table[tuple(sorted(opt.vertices))]
         for combo, u in table.items():

@@ -291,6 +291,25 @@ def test_uncovered_rows_track_gain_counts_across_chunks(monkeypatch):
         assert rows[first] > 2 * per_chunk
         picks = [first, *np.random.default_rng(5).permutation(g.n)[:11]]
         _check_uncovered_rows(sk, part, picks)
+        # reach_counts sums the index over several blocks of item rows.
+        ev = sk.evaluator(part)
+        assert sk.items.members.nnz > 2 * per_chunk
+        one_shot = sk.items.members.T @ ev.comp_comm.astype(np.int64) + ev.lone_comm
+        assert np.array_equal(ev.reach_counts, one_shot)
+
+
+def test_reach_counts_with_rows_longer_than_a_block(monkeypatch):
+    # Blocks are cut at item rows, so a row longer than a block leaves
+    # empty blocks between its cuts.
+    g, dg, part = _uncovered_instance()
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * 5)
+    for graph in (g, dg):
+        sk = sample_sketches(graph, 40, 2)
+        members = sk.items.members
+        assert np.diff(members.indptr).max() > 2 * 5
+        ev = sk.evaluator(part)
+        one_shot = members.T @ ev.comp_comm.astype(np.int64) + ev.lone_comm
+        assert np.array_equal(ev.reach_counts, one_shot)
 
 
 def test_sketch_sets_die_without_the_cycle_collector():
@@ -430,6 +449,31 @@ def _reach(g, keep):
             if live:
                 adj[v].append(u)
     return [_dfs(adj, [v]) for v in range(g.n)]
+
+
+def test_arc_bits_reach_matches_per_sketch_search(monkeypatch):
+    # R = 100 sketches fill two words per row, the start sets share rows,
+    # one lists a row twice and one is empty, and a shrunk _CHUNK_BYTES
+    # lets a batch hold two (start, row) pairs, so one call takes many.
+    g, dg, _ = _uncovered_instance()
+    R = 100
+    starts = [[0, 5, 17], [5, 17, 30], [22, 3, 22], [], [39]]
+    for graph in (g, dg):
+        sk = sample_sketches(graph, R, 6)
+        bits = sk.arc_bits
+        W = len(bits.full)
+        monkeypatch.setattr(cascade, "_CHUNK_BYTES", 2 * 8 * W * int(bits.degree.max()))
+        table = bits.reach(starts)
+        assert table.shape == (len(starts), graph.n, W) == (5, 40, 2)
+        reached = np.unpackbits(table.view(np.uint8), axis=2, bitorder="little")
+        assert not reached[:, :, R:].any()
+        want = np.zeros((len(starts), graph.n, R), dtype=np.uint8)
+        for r, keep in enumerate(sk.edge_masks):
+            reach = _reach(graph, keep)
+            for i, start in enumerate(starts):
+                for v in start:
+                    want[i, list(reach[v]), r] = 1
+        assert np.array_equal(reached[:, :, :R], want)
 
 
 def _community_counts(vertex_sets, part):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fairspread import __version__, cli, experiments
+from fairspread import __version__, cascade, cli, experiments
 from fairspread.cli import main
 
 
@@ -132,6 +132,25 @@ def test_exact_bruteforce_mode(graph_file, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["seeds"] == [0]  # star center maximizes total spread
+
+
+def test_exact_bruteforce_mode_enumerates_once(graph_file, capsys, monkeypatch):
+    # The winner's utilities come from the enumeration that chose it: one
+    # build of the live-edge subsets, and the exact utilities of its seeds.
+    builds = []
+    init = cascade._LiveEdgeSubsets.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cascade._LiveEdgeSubsets, "__init__", counted)
+    argv = ["exact", "--graph", str(graph_file), "--format", "json"]
+    assert main([*argv, "--k", "2", "--method", "maximin"]) == 0
+    assert len(builds) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert main([*argv, *map(str, doc["seeds"])]) == 0
+    assert json.loads(capsys.readouterr().out)["utilities"] == doc["utilities"]
 
 
 @pytest.mark.parametrize(

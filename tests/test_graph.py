@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fairspread.cli import main
 from fairspread.errors import GraphFormatError
 from fairspread.graph import (
     CommunityPartition,
@@ -23,11 +24,75 @@ def test_graph_basic_properties():
     g = Graph(n=4, edges=((0, 1), (1, 2)), directed=False, p=0.5)
     assert g.num_arcs == 4
     assert g.out_neighbors() == [[1], [0, 2], [1], []]
+    assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+    assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+
+
+def test_graph_holds_int_pairs_of_any_integer_input():
+    want = ((0, 1), (2, 1))
+    for edges in ([[0, 1], [2, 1]], np.array(want, dtype=np.uint8), ((np.int64(0), 1), (2, 1))):
+        g = Graph(n=3, edges=edges)
+        assert g.edges == want and all(type(x) is int for e in g.edges for x in e)
+        assert g == Graph(n=3, edges=want) and hash(g) == hash(Graph(n=3, edges=want))
+    assert Graph(n=3, edges=()).edge_array.shape == (0, 2)
 
 
 def test_graph_rejects_out_of_range_vertex():
     with pytest.raises(GraphFormatError, match="vertex id out of range"):
         Graph(n=3, edges=((0, 3),))
+
+
+def test_graph_rejects_endpoint_beyond_int64(tmp_path, capsys):
+    message = f"vertex id out of range in edge (0, {2**70})"
+    with pytest.raises(GraphFormatError) as info:
+        Graph(n=3, edges=((0, 1), (0, 2**70)))
+    assert str(info.value) == message
+    doc = {"n": 3, "directed": False, "p": 0.5, "edges": [[0, 1], [0, 2**70]],
+           "communities": [0, 0, 1]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["exact", "--graph", str(path), "0"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, 1, 2, 0),), ((0, 1), (2,)),
+                                   ((0, 1), (1, 2, 0))])
+def test_graph_rejects_entries_that_are_not_pairs(edges):
+    with pytest.raises(ValueError, match="values to unpack"):
+        Graph(n=3, edges=edges)
+
+
+def _first_fault(edges, n, directed):
+    """The message of the first edge out of range, self-loop or repeat, in edge order."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"vertex id out of range in edge ({u}, {v})"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.add(key)
+    return None
+
+
+def test_graph_reports_the_first_offending_edge():
+    rng = np.random.default_rng(4)
+    faults = set()
+    for trial in range(400):
+        n, m, directed = int(rng.integers(2, 9)), int(rng.integers(1, 12)), trial % 2 == 1
+        edges = tuple(map(tuple, rng.integers(-1, n + 1, (m, 2)).tolist()))
+        want = _first_fault(edges, n, directed)
+        if want is None:
+            g = Graph(n=n, edges=edges, directed=directed)
+            assert g.edges == edges and g.edge_array.tolist() == list(map(list, edges))
+            continue
+        faults.add(want.split()[0])
+        with pytest.raises(GraphFormatError) as info:
+            Graph(n=n, edges=edges, directed=directed)
+        assert str(info.value) == want
+    assert faults == {"vertex", "self-loop", "duplicate"}
 
 
 def test_graph_rejects_self_loop_and_duplicates():

@@ -533,7 +533,7 @@ def test_exhaustive_matches_manual_small_case():
     edges = ((0, 1), (1, 2), (3, 4))
     g = Graph(n=6, edges=edges, p=1.0)
     part = CommunityPartition(labels=(0,) * 6)
-    seeds, value = exhaustive_opt(g, part, 2, "total")
+    seeds, value, _ = exhaustive_opt(g, part, 2, "total")
     assert seeds.vertices == {0, 3}  # lexicographic tie-break among components
     assert value == pytest.approx(5.0)
 
@@ -558,7 +558,7 @@ def test_exhaustive_on_sketches_upper_bounds_greedy():
         sk = sample_sketches(g, 300, seed)
         params = default_params(-2.0, g.n)
         _, trace = greedy_welfare(sk, part, 2, params)
-        _, best = exhaustive_opt(g, part, 2, "welfare", params, sketches=sk)
+        _, best, _ = exhaustive_opt(g, part, 2, "welfare", params, sketches=sk)
         assert trace.objective_after_each[-1] <= best + 1e-9
         assert trace.objective_after_each[-1] >= (1 - 1 / np.e) * best - 1e-9
 
@@ -566,9 +566,9 @@ def test_exhaustive_on_sketches_upper_bounds_greedy():
 def test_exhaustive_exact_mode_agrees_with_sketch_mode_ranking():
     g = Graph(n=6, edges=((0, 1), (1, 2), (2, 0), (3, 4)), p=0.5)
     part = CommunityPartition(labels=(0, 0, 0, 1, 1, 1))
-    exact_best, _ = exhaustive_opt(g, part, 2, "maximin")
+    exact_best, _, _ = exhaustive_opt(g, part, 2, "maximin")
     sk = sample_sketches(g, 20000, 0)
-    mc_best, _ = exhaustive_opt(g, part, 2, "maximin", sketches=sk)
+    mc_best, _, _ = exhaustive_opt(g, part, 2, "maximin", sketches=sk)
     assert exact_best.vertices == mc_best.vertices
 
 
