@@ -31,7 +31,7 @@ import numpy as np
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
 
-# Bytes per temporary when the member index is filled or summed in chunks.
+# Bytes per temporary when sketches are drawn, labelled, propagated or summed in chunks.
 _CHUNK_BYTES = 1 << 20
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -291,18 +291,17 @@ class _Items:
     counted from the tails: the canonical matrix, with no sort.  An
     undirected graph's SCCs are its components.
 
-    ``comp[r, v]`` is the item holding vertex v in sketch r, or -1 where
-    no live arc touches v: a lone pair, which only v reaches and which
-    reaches only v.  The ``count`` labels are unique across sketches.
-    ``lone[v]`` counts v's lone pairs, and sketch r's items are
-    [offsets[r], offsets[r + 1]).  Every per-item array has one trailing
-    null row, which the label -1 indexes: it holds no vertex and no
-    count.  ``arcs``, a (count + 1, count + 1) boolean CSR matrix, has
-    entry [i, j] if a live arc leads from item j into item i; a directed
-    set reads them from each chunk's block while it labels it, and an
-    undirected set, or a directed one whose arcs all lie within SCCs,
-    has None.  A vertex covers every item it reaches: ``members`` lists
-    them by item and ``reached`` by vertex.
+    ``own``, a (count, n) boolean CSR matrix, lists each item's own
+    vertices, ascending, with the items numbered sketch by sketch; the
+    pass writes each chunk's rows into it as it labels the chunk.  A
+    (sketch, vertex) pair that no live arc touches is lone: only v
+    reaches it and it reaches only v, so it is no item, and ``lone[v]``
+    counts v's lone pairs.  ``arcs``, a (count, count) boolean CSR
+    matrix, has entry [i, j] if a live arc leads from item j into item
+    i; a directed set reads them from each chunk's block while it labels
+    it, and an undirected set, or a directed one whose arcs all lie
+    within SCCs, has None.  A vertex covers every item it reaches:
+    ``members`` lists them by item and ``reached`` by vertex.
     """
 
     def __init__(self, graph: Graph, edge_masks: np.ndarray):
@@ -310,100 +309,69 @@ class _Items:
         from scipy.sparse.csgraph import connected_components
 
         R, n = len(edge_masks), graph.n
-        comp = np.empty((R, n), dtype=_vertex_dtype(R, n))
+        index = _vertex_dtype(R, n)
+        # Room for every pair; pages are committed only as rows are written.
+        indices = np.empty(R * n, dtype=np.int32)
         lone = np.zeros(n, dtype=np.int64)
-        offsets = np.zeros(R + 1, dtype=np.int64)
-        count, heads, tails = 0, [], []
+        count, end, row_ends, heads, tails = 0, 0, [], [], []
         for lo, hi, tail, head in _live_arcs(graph, edge_masks):
             touched = np.zeros((hi - lo) * n, dtype=bool)
             touched[tail] = True
             touched[head] = True
-            number = np.cumsum(touched, dtype=comp.dtype)
+            number = np.cumsum(touched, dtype=index)
             size = int(number[-1])
             number -= 1
             # One at a time, so that three arc arrays are held at once, not four.
             tail = number[tail]
             head = number[head]
             del number
-            indptr = np.zeros(size + 1, dtype=comp.dtype)
+            indptr = np.zeros(size + 1, dtype=index)
             np.cumsum(np.bincount(tail, minlength=size), out=indptr[1:])
             # float64 weights, connected_components' dtype, spare it a copy.
             block = sp.csr_matrix((np.ones(len(head)), head, indptr), shape=(size, size))
             del tail, head, indptr
             found, labels = connected_components(block, directed=graph.directed,
                                                  connection="strong")
-            labels += count
             if graph.directed:  # the block's arcs as (tail, head) labels
                 tail = np.repeat(labels, np.diff(block.indptr))
                 head = labels[block.indices]
                 cross = tail != head
-                tails.append(tail[cross])
-                heads.append(head[cross])
+                tails.append(tail[cross] + count)
+                heads.append(head[cross] + count)
                 del tail, head, cross
-            del block  # freed before the label copy below allocates its positions
-            rows = comp[lo:hi]
-            rows.fill(-1)
-            # Positions, not the mask: its irregular pattern makes numpy's
-            # masked copies several times slower than index copies.
-            rows.ravel()[np.flatnonzero(touched)] = labels
-            # A sketch's labels end one past its largest, or where the last ended.
-            ends = np.maximum(rows.max(axis=1) + 1, count)
-            offsets[lo + 1 : hi + 1] = np.maximum.accumulate(ends)
+            del block  # freed before the rows below allocate their pairs
+            # Grouped by label, each item's vertices stay in pair order: ascending.
+            vertex = np.flatnonzero(touched).astype(np.int32)
+            vertex %= n
+            rows = sp.csr_matrix((np.ones(size, dtype=bool), (labels, vertex)), shape=(found, n))
+            del labels, vertex
+            indices[end : end + size] = rows.indices
+            row_ends.append(np.add(rows.indptr[1:], end, dtype=index))
+            end += size
             lone += hi - lo
             lone -= touched.reshape(-1, n).sum(axis=0)
             count += int(found)
-        self.count, self.comp, self.lone, self.offsets = count, comp, lone, offsets
+        indices.resize(end, refcheck=False)
+        indptr = np.zeros(count + 1, dtype=index)
+        np.concatenate(row_ends, out=indptr[1:])
+        del row_ends
+        self.own = sp.csr_matrix((np.ones(end, dtype=bool), indices, indptr), shape=(count, n))
+        self.count, self.lone = count, lone
         self.arcs = None
         if heads and len(head := np.concatenate(heads)):
             tail = np.concatenate(tails)
             self.arcs = sp.csr_matrix((np.ones(len(head), dtype=bool), (head, tail)),
-                                      shape=(count + 1, count + 1))
-
-    def sketch_chunks(self):
-        """(first sketch, local, lo, hi) per chunk of ``_sketch_step``
-        sketches, whose items are [lo, hi).  ``local`` is the chunk's rows
-        of ``comp`` minus lo, except that the lone pairs of the chunk's
-        j-th sketch hold hi - lo + j: a spare row per sketch after the
-        chunk's items, so no vertex is twice in one row.  It is computed
-        without a mask, whose irregular pattern would slow numpy down."""
-        R, n = self.comp.shape
-        step = _sketch_step(n)
-        for r in range(0, R, step):
-            labels = self.comp[r : r + step]
-            lo, hi = int(self.offsets[r]), int(self.offsets[r + len(labels)])
-            local = labels - lo
-            np.maximum(local, -1, out=local)
-            spare = np.arange(hi - lo + 1, hi - lo + 1 + len(labels), dtype=local.dtype)
-            local += (local < 0) * spare[:, None]
-            yield r, local, lo, hi
+                                      shape=(count, count))
 
     @cached_property
     def members(self):
-        """(count + 1, n) boolean CSR matrix: row i lists every vertex that reaches item i.
+        """(count, n) boolean CSR matrix: row i lists every vertex that reaches item i.
 
-        It starts as each item's own vertices, filled in place from
-        ``comp`` one chunk of sketches at a time.  Then, level by level,
-        each item gains the vertices that the items with arcs into it
-        gained at the level before, until no item gains any.
+        It starts as ``own``, which it is for an undirected set.  Then,
+        level by level, each item gains the vertices that the items with
+        arcs into it gained at the level before, until no item gains any.
         """
-        import scipy.sparse as sp
-
-        R, n = self.comp.shape
-        indices = np.empty(R * n - int(self.lone.sum()), dtype=np.int32)
-        indptr = np.empty(self.count + 2, dtype=self.comp.dtype)
-        indptr[0] = end = 0
-        vertex = np.broadcast_to(np.arange(n, dtype=np.int32), (_sketch_step(n), n))
-        for _, local, lo, hi in self.sketch_chunks():
-            pairs = (local.ravel(), vertex[: len(local)].ravel())
-            block = sp.csr_matrix((np.ones(local.size, dtype=bool), pairs),
-                                  shape=(hi - lo + len(local), n))
-            size = block.indptr[hi - lo]  # the entries of items, before the spare rows
-            indices[end : end + size] = block.indices[:size]
-            indptr[lo + 1 : hi + 1] = block.indptr[1 : hi - lo + 1] + end
-            end += size
-        indptr[-1] = end  # the null row
-        members = frontier = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
-                                           shape=(self.count + 1, n))
+        members = frontier = self.own
         while self.arcs is not None and frontier.nnz:
             gained = self.arcs @ frontier  # boolean, so no count of paths can wrap
             frontier = gained > members  # the entries not yet in members
@@ -412,12 +380,30 @@ class _Items:
 
     @cached_property
     def reached(self):
-        """reached[v] lists the items vertex v reaches; an undirected
-        set's list holds -1, the null row, in the sketches where v is lone."""
-        if self.arcs is None:
-            return self.comp.T
-        by_vertex = self.members.T.tocsr()
-        return np.split(by_vertex.indices, by_vertex.indptr[1:-1])
+        """(n, count) boolean CSR matrix: row v lists every item
+        vertex v reaches, the transpose of ``members``."""
+        return self.members.T.tocsr()
+
+
+def _row_blocks(matrix):
+    """(lo, hi, block) per run of rows [lo, hi) of a CSR matrix that holds
+    about ``_CHUNK_BYTES // 8`` entries.
+
+    A sparse product multiplies a copy of a matrix's data, so a product
+    taken one block at a time copies one block's.  Each block is a CSR
+    matrix over views of the matrix's ``indices`` and ``data``, which
+    slicing the matrix would copy.  A row longer than a block leaves
+    empty blocks between its cuts.
+    """
+    import scipy.sparse as sp
+
+    indptr = matrix.indptr
+    per_chunk = _CHUNK_BYTES // 8
+    cuts = np.searchsorted(indptr, np.arange(per_chunk, matrix.nnz, per_chunk))
+    for lo, hi in zip([0, *cuts], [*cuts, matrix.shape[0]]):
+        first, last = indptr[lo], indptr[hi]
+        yield lo, hi, sp.csr_matrix((matrix.data[first:last], matrix.indices[first:last],
+                                     indptr[lo : hi + 1] - first), shape=(hi - lo, matrix.shape[1]))
 
 
 class _SketchSet:
@@ -471,28 +457,25 @@ class DirectedSketchSet(_SketchSet):
 
     @property
     def closure(self) -> np.ndarray:
-        """(R, n, n) boolean reachability per sketch (v reaches w), read
-        from the member index: v reaches w iff it reaches w's SCC, and a
-        lone vertex, whose row is the empty null row, reaches itself."""
-        R, n = self.R, self.graph.n
-        rows = self.items.members[self.items.comp.ravel()]
-        closure = rows.toarray().reshape(R, n, n).transpose(0, 2, 1)
-        closure[:, np.arange(n), np.arange(n)] = True
-        return closure
+        """(R, n, n) boolean reachability per sketch (v reaches w): the
+        ``arc_bits`` reach tables of the n single vertices, one bit per sketch."""
+        table = self.arc_bits.reach([[v] for v in range(self.graph.n)])
+        bits = np.unpackbits(table.view(np.uint8), axis=2, bitorder="little")
+        return bits[:, :, : self.R].view(bool).transpose(2, 0, 1)
 
 
 class _Evaluator:
     """Community counts of the coverage items of one sketch set under one partition.
 
-    ``comp_comm[i, c]`` counts community c's vertices in item i, and
-    its null row is zero.  An item holds at most n vertices, so the
-    counts are int32; every sum over items (``reach_counts``, a state's
-    ``counts``) is int64.  ``lone_comm[v]`` counts v's lone pairs in v's
-    community: what v alone covers outside the items.  Only coverage
-    states use an evaluator, so building one labels the items;
-    estimates build none.  The evaluator keeps the sketch set's items,
-    not the set, so that the set's evaluator cache forms no reference
-    cycle.
+    ``comp_comm[i, c]`` counts community c's vertices in item i: the
+    items' own rows times a one-hot (n, C) matrix, one block of rows at
+    a time.  An item holds at most n vertices, so the counts are int32;
+    every sum over items (``reach_counts``, a state's ``counts``) is
+    int64.  ``lone_comm[v]`` counts v's lone pairs in v's community:
+    what v alone covers outside the items.  Only coverage states use an
+    evaluator, so building one labels the items; estimates build none.
+    The evaluator keeps the sketch set's items, not the set, so that the
+    set's evaluator cache forms no reference cycle.
     """
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
@@ -503,37 +486,19 @@ class _Evaluator:
         self.part = part
         self.items = sk.items
         C = part.num_communities
-        community = np.asarray(part.labels, dtype=np.int64)
-        self.comp_comm = np.zeros((self.items.count + 1, C), dtype=np.int32)
-        for _, local, lo, hi in self.items.sketch_chunks():
-            key = np.multiply(local, C, dtype=np.int64)
-            key += community
-            counts = np.bincount(key.ravel(), minlength=(hi - lo + len(local)) * C)
-            self.comp_comm[lo:hi] = counts[: (hi - lo) * C].reshape(-1, C)
+        onehot = np.equal.outer(part.labels, np.arange(C)).astype(np.int32)
+        self.comp_comm = np.zeros((self.items.count, C), dtype=np.int32)
+        for lo, hi, block in _row_blocks(self.items.own):
+            self.comp_comm[lo:hi] = block @ onehot
         self.lone_comm = np.zeros((n, C), dtype=np.int64)
-        self.lone_comm[np.arange(n), community] = self.items.lone
+        self.lone_comm[np.arange(n), part.labels] = self.items.lone
 
     @cached_property
     def reach_counts(self) -> np.ndarray:
-        """(n, C) counts G[v]: comp_comm summed over the items v reaches,
-        plus ``lone_comm[v]``.
-
-        Summed in int64 over chunks of item rows, since the sparse product
-        multiplies a copy of the index's data, one chunk of it at a time.
-        Each chunk is a CSR matrix over views of the index's ``indices``
-        and ``data``, which slicing the index would copy.
-        """
-        import scipy.sparse as sp
-
-        members = self.items.members
-        indptr = members.indptr
+        """(n, C) counts G[v]: comp_comm summed in int64 over the items v
+        reaches, one block of member rows at a time, plus ``lone_comm[v]``."""
         G = self.lone_comm.copy()
-        per_chunk = _CHUNK_BYTES // 8
-        cuts = np.searchsorted(indptr, np.arange(per_chunk, members.nnz, per_chunk))
-        for lo, hi in zip([0, *cuts], [*cuts, self.items.count]):
-            first, last = indptr[lo], indptr[hi]
-            block = sp.csr_matrix((members.data[first:last], members.indices[first:last],
-                                   indptr[lo : hi + 1] - first), shape=(hi - lo, self.n))
+        for lo, hi, block in _row_blocks(self.items.members):
             G += block.T @ self.comp_comm[lo:hi].astype(np.int64)
         return G
 
@@ -546,21 +511,25 @@ class CoverageState:
     ``add`` keeps it current by subtracting each newly covered item's
     counts from the rows of every vertex that reaches it, and the
     vertex's lone counts from its own row, and appends the vertex to
-    ``chosen``.  The null row starts covered, so no -1 is ever new.
+    ``chosen``.
     """
 
     def __init__(self, ev: _Evaluator):
         self.ev = ev
-        self.covered = np.zeros(ev.items.count + 1, dtype=bool)
-        self.covered[-1] = True
+        self.covered = np.zeros(ev.items.count, dtype=bool)
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
         self.uncovered = ev.reach_counts.copy()
         self.chosen: list[int] = []
 
+    def _new_items(self, v: int) -> np.ndarray:
+        """The items v reaches that are not yet covered."""
+        reached = self.ev.items.reached
+        items = reached.indices[reached.indptr[v] : reached.indptr[v + 1]]
+        return items[~self.covered[items]]
+
     def gain_counts(self, v: int) -> np.ndarray:
         """Counts v would add, recomputed from the covered flags."""
-        cols = self.ev.items.reached[v]
-        new = cols[~self.covered[cols]]
+        new = self._new_items(v)
         counts = self.ev.comp_comm[new].sum(axis=0, dtype=np.int64)
         return counts if v in self.chosen else counts + self.ev.lone_comm[v]
 
@@ -575,11 +544,10 @@ class CoverageState:
         """
         lone = 0 if v in self.chosen else self.ev.lone_comm[v]
         self.chosen.append(v)
-        cols = self.ev.items.reached[v]
-        new = cols[~self.covered[cols]]
+        new = self._new_items(v)
         counts = self.ev.comp_comm[new]
         delta = counts.sum(axis=0, dtype=np.int64) + lone
-        self.covered[cols] = True
+        self.covered[new] = True
         self.counts += delta
         self.uncovered[v] -= lone
         indptr = self.ev.items.members.indptr
@@ -588,9 +556,6 @@ class CoverageState:
         # Float sums of counts of at most R * n < 2**53 are exact.
         weights = counts.T.astype(np.float64)
         per_chunk = _CHUNK_BYTES // 8
-        if sizes.sum() <= per_chunk:
-            self._decrement(starts, sizes, weights)
-            return delta
         first = (np.cumsum(sizes) - sizes) // per_chunk
         cuts = np.flatnonzero(first[1:] != first[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(new)]):

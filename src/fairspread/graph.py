@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -68,15 +69,19 @@ def _simple_edge_array(edges, n: int, directed: bool) -> np.ndarray | None:
     simple graph on n vertices, else None.
 
     numpy checks ranges, self-loops and repeats at once.  Input it cannot
-    hold as integer pairs (Python ints beyond int64, floats, entries that
-    are not pairs) and input that fails a check return None, for
-    ``_checked_edges`` to report as it always has.
+    hold as integer pairs (Python ints beyond int64, floats, bools,
+    entries that are not pairs) and input that fails a check return
+    None, for ``_checked_edges`` to report.
     """
     try:
         ends = np.array(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
     except (TypeError, ValueError):  # no length, or entries of unequal lengths
         return None
     if ends.dtype.kind not in "iu" or ends.shape != (len(edges), 2):
+        return None
+    # numpy reads bools among ints as ints; only the entries' types tell.
+    types = () if isinstance(edges, np.ndarray) else set(map(type, chain.from_iterable(edges)))
+    if bool in types or np.bool_ in types:
         return None
     if ((ends < 0) | (ends >= n)).any():
         return None
@@ -93,10 +98,13 @@ def _simple_edge_array(edges, n: int, directed: bool) -> np.ndarray | None:
 
 def _checked_edges(edges, n: int, directed: bool) -> list[tuple[int, int]]:
     """edges as int pairs, checked one at a time: raises GraphFormatError at
-    the first edge out of range, self-loop or repeat, in edge order, and
-    unpacking raises at an entry that is not a pair."""
+    the first edge with a non-integer endpoint, out of range, self-loop or
+    repeat, in edge order, and unpacking raises at an entry that is not a
+    pair.  Python and numpy integers are integers; bools are not."""
     seen, pairs = set(), []
     for u, v in edges:
+        if not (_is_endpoint(u) and _is_endpoint(v)):
+            raise GraphFormatError(f"non-integer vertex id in edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
         if u == v:
@@ -362,6 +370,10 @@ def _read_document(source) -> dict:
     if not isinstance(doc, dict):
         raise GraphFormatError("document root must be an object")
     return doc
+
+
+def _is_endpoint(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_int(x) -> bool:

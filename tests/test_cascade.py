@@ -182,10 +182,9 @@ def test_uncovered_rows_track_gain_counts():
     g, dg, part = _uncovered_instance()
     picks = np.random.default_rng(5).permutation(g.n)[:12]
     undirected = sample_sketches(g, 40, 2)
-    comp = undirected.items.comp
-    assert (np.bincount(comp[comp >= 0]) >= 2).all()
+    assert (np.diff(undirected.items.own.indptr) >= 2).all()
     for sk in (undirected, sample_sketches(dg, 40, 2)):
-        assert (sk.items.comp < 0).any() and sk.items.lone[picks].all()
+        assert sk.items.lone[picks].all()
         _check_uncovered_rows(sk, part, picks)
 
 
@@ -196,6 +195,27 @@ def _touched(g, edge_masks):
     touched = np.zeros((len(edge_masks), g.n), dtype=bool)
     touched[r, src[a]] = touched[r, dst[a]] = True
     return touched
+
+
+def _item_labels(items, touched):
+    """(R, n) item labels read from the items' own rows, -1 at lone pairs.
+
+    Items come sketch by sketch, and sketch r's own rows partition the
+    vertices that a live arc touches in it, ``touched[r]``, so sketch r
+    takes the next rows until they cover them; each row must be non-empty,
+    ascending, and hold only touched vertices not yet taken."""
+    own = items.own
+    labels = np.full(touched.shape, -1)
+    i = 0
+    for r, want in enumerate(touched):
+        while np.count_nonzero(labels[r] >= 0) < np.count_nonzero(want):
+            row = own.indices[own.indptr[i] : own.indptr[i + 1]]
+            assert len(row) and (np.diff(row) > 0).all(), i
+            assert want[row].all() and (labels[r, row] < 0).all(), (r, i)
+            labels[r, row] = i
+            i += 1
+    assert i == items.count == own.shape[0]
+    return labels
 
 
 def _one_shot_components(g, edge_masks):
@@ -227,8 +247,9 @@ def _shuffled_edge_lists(g, dg):
 def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
     # Each chunk's block is built in (tail, head) order from one sort of
     # the edge list, and its touched pairs are numbered in order, so
-    # shuffled edge lists must give the same labels as one labelling of
-    # every sketch at once, restricted to the touched pairs.
+    # shuffled edge lists must give the same items as one labelling of
+    # every sketch at once, restricted to the touched pairs: own row i
+    # holds the vertices of label i, ascending.
     g, dg, part = _uncovered_instance()
     R = 40
     # Three sketches per chunk, so the last chunk holds one.
@@ -238,21 +259,24 @@ def test_chunked_labels_and_counts_match_one_shot(monkeypatch):
         sk = sample_sketches(graph, R, 2)
         count, labels = _one_shot_components(graph, sk.edge_masks)
         items = sk.items
-        assert items.count == count and np.array_equal(items.comp, labels)
+        at = np.flatnonzero(labels >= 0)
+        want = sp.csr_matrix((np.ones(len(at), dtype=bool), (labels.ravel()[at], at % graph.n)),
+                             shape=(count, graph.n))
+        assert items.count == count and items.own.shape == want.shape
+        assert np.array_equal(items.own.indptr, want.indptr)
+        assert np.array_equal(items.own.indices, want.indices)
+        assert np.array_equal(_item_labels(items, labels >= 0), labels)
         assert np.array_equal(items.lone, (labels < 0).sum(axis=0))
-        for r in range(R):  # sketch r's labels are [offsets[r], offsets[r + 1])
-            found = np.unique(labels[r][labels[r] >= 0]).tolist()
-            assert found == list(range(items.offsets[r], items.offsets[r + 1])), r
         if graph.directed:  # the arcs between SCCs, from every live arc at once
             src, dst = np.array(graph.edges).T
             r, a = np.nonzero(sk.edge_masks)
             tail, head = labels[r, src[a]], labels[r, dst[a]]
             cross = tail != head
             want = sp.csr_matrix((np.ones(np.count_nonzero(cross), dtype=bool),
-                                  (head[cross], tail[cross])), shape=(count + 1, count + 1))
+                                  (head[cross], tail[cross])), shape=(count, count))
             assert (items.arcs != want).nnz == 0
         ev = sk.evaluator(part)
-        want = np.zeros((count + 1, part.num_communities), dtype=np.int64)  # null row last
+        want = np.zeros((count, part.num_communities), dtype=np.int64)
         touched = labels >= 0
         np.add.at(want, (labels[touched], np.tile(part.labels, (R, 1))[touched]), 1)
         assert ev.comp_comm.dtype == np.int32 and np.array_equal(ev.comp_comm, want)
@@ -285,8 +309,7 @@ def test_uncovered_rows_track_gain_counts_across_chunks(monkeypatch):
     per_chunk = cascade._CHUNK_BYTES // 8
     for graph in (g, dg):
         sk = sample_sketches(graph, 40, 2)
-        row_sizes = np.diff(sk.items.members.indptr)
-        rows = [row_sizes[sk.items.reached[v]].sum() for v in range(g.n)]
+        rows = sk.items.reached @ np.diff(sk.items.members.indptr)
         first = int(np.argmax(rows))
         assert rows[first] > 2 * per_chunk
         picks = [first, *np.random.default_rng(5).permutation(g.n)[:11]]
@@ -351,13 +374,14 @@ def test_sketch_pipeline_peak_bytes_per_pair():
 
 
 def test_member_index_build_peak_stays_near_its_bytes(monkeypatch):
-    # The index's row pointers are filled in its own index dtype, so the
-    # build holds little beyond the index and one chunk's temporaries
-    # (ten sketches here: 4% of the index); an int64 indptr copied to
-    # int32 added about half of the index's bytes.
+    # The labelling writes each chunk's own rows into one int32 buffer
+    # of R * n entries, shrunk in place at the end, so the build holds
+    # little beyond the index, that buffer's 4 * R * n bytes (traced
+    # whole, though only the entries written are committed) and one
+    # chunk's temporaries (ten sketches here: 4% of the index).
     g, _ = generate_sbm(SbmSpec((500, 500, 500), (0.012, 0.006, 0.006), 0.001), rng_seed=7)
-    sk = sample_sketches(g, 600, 0)
-    sk.items  # labelled before the trace, which measures the index build alone
+    R = 600
+    sk = sample_sketches(g, R, 0)
     monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 10)
     tracemalloc.start()
     try:
@@ -366,7 +390,7 @@ def test_member_index_build_peak_stays_near_its_bytes(monkeypatch):
     finally:
         tracemalloc.stop()
     held = members.data.nbytes + members.indices.nbytes + members.indptr.nbytes
-    assert peak - held < held / 4, (peak, held)
+    assert peak - held < held / 4 + 4 * R * g.n, (peak, held)
 
 
 def _live_components(g, keep):
@@ -404,23 +428,18 @@ def test_sketch_components_match_per_sketch_search(monkeypatch):
     ]
     R = 10
     for g in graphs:
-        # Three sketches per member chunk, the last chunk partial.
+        # Three sketches per labelling chunk, the last chunk partial.
         monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
         labels = tuple(int(c) for c in rng.integers(0, 3, g.n - 3)) + (0, 1, 2)
         part = CommunityPartition(labels=labels)
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
         ev = sk.evaluator(part)
         items = sk.items
-        comp, members = items.comp, items.members
-        # Every touched vertex is the member of its own component alone,
-        # and the null row, after the items, holds no vertex.
-        assert members.shape == (items.count + 1, g.n)
-        assert members.nnz == np.count_nonzero(comp >= 0) == R * g.n - items.lone.sum()
-        assert members.indptr[-2] == members.indptr[-1]
-        assert np.unique(comp[comp >= 0]).tolist() == list(range(items.count))
-        # No label spans two sketches.
-        assert sum(len(np.unique(row[row >= 0])) for row in comp) == items.count
-        want = np.zeros((items.count + 1, part.num_communities), dtype=np.int64)
+        # Every touched vertex is the member of its own component alone.
+        assert items.members is items.own and items.own.shape == (items.count, g.n)
+        comp = _item_labels(items, _touched(g, sk.edge_masks))
+        assert items.own.nnz == np.count_nonzero(comp >= 0) == R * g.n - items.lone.sum()
+        want = np.zeros((items.count, part.num_communities), dtype=np.int64)
         for r in range(R):
             found, lone = {}, set()
             for v, label in enumerate(comp[r]):
@@ -433,9 +452,6 @@ def test_sketch_components_match_per_sketch_search(monkeypatch):
             components = _live_components(g, sk.edge_masks[r])
             assert {frozenset(c) for c in found.values()} == {c for c in components if len(c) > 1}
             assert {frozenset({v}) for v in lone} == {c for c in components if len(c) == 1}
-            for label, vertices in found.items():
-                got = members.indices[members.indptr[label] : members.indptr[label + 1]]
-                assert sorted(got.tolist()) == sorted(vertices), (r, label)
         assert np.array_equal(items.lone, (comp < 0).sum(axis=0))
         assert np.array_equal(ev.comp_comm, want)
 
@@ -498,10 +514,11 @@ def test_items_hold_only_touched_pairs_and_counts_match_search():
                                       + (0, 1, 2))
             sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
             items = sk.items
-            # Every stored item holds an end of a live arc.
+            # Every stored item holds an end of a live arc, and every such end is in an item.
+            comp = _item_labels(items, _touched(g, sk.edge_masks))
             src, dst = np.array(g.edges).T
             r, a = np.nonzero(sk.edge_masks)
-            ends = np.r_[items.comp[r, src[a]], items.comp[r, dst[a]]]
+            ends = np.r_[comp[r, src[a]], comp[r, dst[a]]]
             assert np.unique(ends).tolist() == list(range(items.count)), (directed, p)
             lone = [sum(not any(live and v in edge for edge, live in zip(g.edges, keep))
                         for keep in sk.edge_masks) for v in range(g.n)]
@@ -613,6 +630,8 @@ def test_directed_closure_and_gains_match_bruteforce():
     # R = 65 sketches, one bit past a whole uint64 word of the estimate's
     # one bit per sketch.  The last has ten isolated vertices, lone in
     # every sketch, which must still reach themselves.
+    # The closure is also rebuilt from the member index: v reaches w iff
+    # v is a member of w's item, or w is lone and v is w.
     for n, tails, heads, m, p, R in ((30, 30, 30, 90, 0.5, 12), (120, 120, 120, 400, 0.35, 6),
                                      (300, 256, 300, 2700, 0.9, 2), (30, 30, 30, 90, 0.5, 65),
                                      (40, 30, 30, 60, 0.4, 12)):
@@ -622,6 +641,10 @@ def test_directed_closure_and_gains_match_bruteforce():
         labels = tuple(int(x) for x in rng.integers(0, 3, n - 3)) + (0, 1, 2)
         part = CommunityPartition(labels=labels)
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
+        closure = sk.closure
+        assert closure.shape == (R, n, n)
+        comp = _item_labels(sk.items, _touched(g, sk.edge_masks))
+        members = sk.items.members.toarray()
         reach = []  # reach[r][v]: vertices v reaches in sketch r
         for r in range(R):
             adj = _live_adjacency(g, sk.edge_masks[r])
@@ -629,7 +652,11 @@ def test_directed_closure_and_gains_match_bruteforce():
             expected = np.zeros((n, n), dtype=bool)
             for v, reached in enumerate(reach[r]):
                 expected[v, sorted(reached)] = True
-            assert np.array_equal(sk.closure[r], expected), (n, r)
+            rebuilt = np.eye(n, dtype=bool)
+            touched = comp[r] >= 0
+            rebuilt[:, touched] = members[comp[r, touched]].T
+            assert np.array_equal(rebuilt, expected), (n, r)
+            assert np.array_equal(closure[r], expected), (n, r)
         state = sk.coverage_state(part)
         seeds = [int(v) for v in rng.choice(n, size=3, replace=False)]
         for s in seeds:
@@ -708,12 +735,11 @@ def test_directed_items_are_strongly_connected_components():
         g = _cycles_feeding_dag(rng, cycles, tail, p)
         sk = sample_sketches(g, R, int(rng.integers(0, 1000)))
         items = sk.items
-        comp = items.comp
         touched = _touched(g, sk.edge_masks)
-        assert np.array_equal(comp >= 0, touched)
-        sizes = np.bincount(comp[touched])
+        comp = _item_labels(items, touched)
+        sizes = np.diff(items.own.indptr)
         assert (sizes == 1).any() and (sizes >= 3).any()
-        first, reaches = 0, []
+        reaches = []
         for r in range(R):
             reach = [_dfs(_live_adjacency(g, sk.edge_masks[r]), [v]) for v in range(g.n)]
             reaches.append(reach)
@@ -724,23 +750,18 @@ def test_directed_items_are_strongly_connected_components():
                 for w in np.flatnonzero(touched[r]):
                     mutual = w in reach[v] and v in reach[w]
                     assert (comp[r, v] == comp[r, w]) == mutual, (r, v, w)
-            # One contiguous range per sketch, after the previous sketch's.
-            found = np.unique(comp[r][touched[r]]).tolist()
-            assert found == list(range(first, first + len(found))), r
-            assert (items.offsets[r], items.offsets[r + 1]) == (first, first + len(found))
-            first += len(found)
-        assert first == items.count
         assert np.array_equal(items.lone, R - touched.sum(axis=0))
         coverers = [set() for _ in range(items.count)]
+        reached = items.reached
         for v in range(g.n):
-            got = items.reached[v].tolist()
+            got = reached.indices[reached.indptr[v] : reached.indptr[v + 1]].tolist()
             want = {int(comp[r, w]) for r in range(R) for w in reaches[r][v] if touched[r, w]}
             assert len(got) == len(want) and set(got) == want, v
             for i in want:
                 coverers[i].add(v)
         members = items.members
-        assert members.shape == (items.count + 1, g.n)
-        for i, want in enumerate([*coverers, set()]):  # the null row is empty
+        assert members.shape == (items.count, g.n) and reached.shape == (g.n, items.count)
+        for i, want in enumerate(coverers):
             got = members.indices[members.indptr[i] : members.indptr[i + 1]].tolist()
             assert len(got) == len(want) and set(got) == want, i
 

@@ -37,6 +37,21 @@ def test_graph_holds_int_pairs_of_any_integer_input():
     assert Graph(n=3, edges=()).edge_array.shape == (0, 2)
 
 
+@pytest.mark.parametrize("edges, bad", [
+    (((0.5, 0.7),), "(0.5, 0.7)"),  # int() would make it the self-loop (0, 0)
+    (((0.5, 1.7), (True, 2)), "(0.5, 1.7)"),
+    (np.array([[0.0, 1.0], [1.0, 2.0]]), "(0.0, 1.0)"),
+    (((0, 1), (True, 2)), "(True, 2)"),  # numpy reads this as an int array
+    (((0, 1), (np.True_, 2)), "(True, 2)"),
+    (np.array([[True, False]]), "(True, False)"),
+    (((0, 1), (1, 2.0), (2, 2)), "(1, 2.0)"),  # before the later self-loop
+])
+def test_graph_rejects_non_integer_endpoints(edges, bad):
+    with pytest.raises(GraphFormatError) as info:
+        Graph(n=3, edges=edges)
+    assert str(info.value) == f"non-integer vertex id in edge {bad}"
+
+
 def test_graph_rejects_out_of_range_vertex():
     with pytest.raises(GraphFormatError, match="vertex id out of range"):
         Graph(n=3, edges=((0, 3),))
