@@ -536,46 +536,61 @@ class CoverageState:
     def add(self, v: int) -> np.ndarray:
         """Cover what v reaches; returns the counts it added.
 
-        The newly covered items' member rows are decremented in chunks:
-        the items whose first row falls in one run of ``_CHUNK_BYTES // 8``
-        rows, so a first pick that covers millions of rows holds the
-        transients of about that many rows at a time.  The usual small
-        add is one chunk.
+        The newly covered items' weights, their community counts as
+        floats, are drawn once; ``delta`` is their sum, exact because
+        every sum of counts is at most R * n < 2**53.  One ``cumsum`` of
+        the items' member row sizes gives both the entry offsets and the
+        chunk test: when the rows hold at most ``_CHUNK_BYTES // 8``
+        entries, the usual case, one ``_decrement`` call takes them all.
+        A larger add, such as a first pick that covers millions of rows,
+        is decremented in chunks, the items whose first row falls in one
+        run of that many entries, so it holds the transients of about
+        that many rows at a time.
         """
         lone = 0 if v in self.chosen else self.ev.lone_comm[v]
         self.chosen.append(v)
         new = self._new_items(v)
-        counts = self.ev.comp_comm[new]
-        delta = counts.sum(axis=0, dtype=np.int64) + lone
-        self.covered[new] = True
+        weights = self.ev.comp_comm[new].T.astype(np.float64)
+        delta = weights.sum(axis=1).astype(np.int64) + lone
         self.counts += delta
         self.uncovered[v] -= lone
+        if not len(new):
+            return delta
+        self.covered[new] = True
         indptr = self.ev.items.members.indptr
-        starts = indptr[new]
-        sizes = indptr[new + 1] - starts
-        # Float sums of counts of at most R * n < 2**53 are exact.
-        weights = counts.T.astype(np.float64)
+        stops = indptr[new + 1]
+        sizes = stops - indptr[new]
+        ends = np.cumsum(sizes)
         per_chunk = _CHUNK_BYTES // 8
-        first = (np.cumsum(sizes) - sizes) // per_chunk
+        if ends[-1] <= per_chunk:
+            self._decrement(stops, sizes, ends, weights)
+            return delta
+        first = (ends - sizes) // per_chunk
         cuts = np.flatnonzero(first[1:] != first[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(new)]):
-            self._decrement(starts[lo:hi], sizes[lo:hi], weights[:, lo:hi])
+            self._decrement(stops[lo:hi], sizes[lo:hi], ends[lo:hi] - (ends[lo] - sizes[lo]),
+                            weights[:, lo:hi])
         return delta
 
-    def _decrement(self, starts, sizes, weights) -> None:
+    def _decrement(self, stops, sizes, ends, weights) -> None:
         """Subtract each item's weights from its member rows of ``uncovered``.
 
-        The rows are gathered with numpy: a sparse matrix's per-call
-        overhead would dominate a greedy's many small adds.
+        ``stops`` and ``sizes`` are the items' row ends in the member
+        index and their lengths, and ``ends`` the running sum of
+        ``sizes``.  The rows are gathered with numpy: a sparse matrix's
+        per-call overhead would dominate a greedy's many small adds.
+        Each community's float ``bincount`` holds exact integers, and is
+        subtracted from its int64 column in place, cast back unsafely.
         """
-        members = self.ev.items.members
-        at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        at = np.repeat(stops - ends, sizes)
         at += np.arange(len(at))  # the index entries of the items' rows
-        rows = members.indices[at]
+        rows = self.ev.items.members.indices[at]
         del at
+        n = len(self.uncovered)
         for c, w in enumerate(weights):
-            dec = np.bincount(rows, np.repeat(w, sizes), minlength=len(self.uncovered))
-            self.uncovered[:, c] -= dec.astype(np.int64)
+            column = self.uncovered[:, c]
+            dec = np.bincount(rows, np.repeat(w, sizes), minlength=n)
+            np.subtract(column, dec, out=column, casting="unsafe")
 
 
 SketchSet = UndirectedSketchSet | DirectedSketchSet

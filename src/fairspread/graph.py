@@ -300,11 +300,14 @@ def load_graph(source) -> tuple[Graph, CommunityPartition]:
     for key in ("edges", "communities"):
         if not isinstance(doc[key], (list, tuple)):
             raise GraphFormatError(f"'{key}' must be a list")
-    edges = []
-    for e in doc["edges"]:
-        if not (_is_list_of(e, _is_int) and len(e) == 2):
-            raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
-        edges.append((e[0], e[1]))
+    edges = _int_pair_array(doc["edges"])
+    if edges is None:  # the per-entry check names the first malformed entry
+        edges = []
+        for e in doc["edges"]:
+            if not (_is_list_of(e, _is_int) and len(e) == 2):
+                raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
+            edges.append((e[0], e[1]))
+        edges = tuple(edges)
     labels = doc["communities"]
     if len(labels) != n:
         raise GraphFormatError(
@@ -313,9 +316,28 @@ def load_graph(source) -> tuple[Graph, CommunityPartition]:
     for c in labels:
         if not _is_int(c):
             raise GraphFormatError(f"community label {c!r} is not an integer")
-    g = Graph(n=n, edges=tuple(edges), directed=doc["directed"], p=float(p))
+    g = Graph(n=n, edges=edges, directed=doc["directed"], p=float(p))
     part = CommunityPartition(labels=tuple(labels))
     return g, part
+
+
+def _int_pair_array(entries) -> np.ndarray | None:
+    """A document's edge entries as an (m, 2) integer array, or None unless
+    every entry is a list or tuple of two Python ints (not bools) that
+    numpy holds in an integer dtype.
+
+    numpy reads bools among ints as ints, so the entries' types are
+    checked too; an array is what ``Graph`` validates without a loop.
+    """
+    try:
+        ends = np.array(entries)
+    except (TypeError, ValueError):  # entries of unequal lengths
+        return None
+    if ends.dtype.kind not in "iu" or ends.shape != (len(entries), 2):
+        return None
+    pairs_of_ints = (set(map(type, entries)) <= {list, tuple}
+                     and set(map(type, chain.from_iterable(entries))) <= {int})
+    return ends if pairs_of_ints else None
 
 
 def save_graph(g: Graph, part: CommunityPartition, path, meta: dict | None = None) -> None:

@@ -200,7 +200,6 @@ class _GreedyRun:
         above the rounding of these float sums.
         """
         state, objective, cached = self.state, self.objective, self.cached
-        ids = np.arange(state.ev.n)
         while True:
             value = None if stop_at is None else objective.value(state.counts)
             if value is not None and value >= stop_at:
@@ -209,22 +208,34 @@ class _GreedyRun:
             if left <= 0:
                 return False
             fresh = objective.gains(state.counts, state.uncovered)
-            self.evaluations += len(ids) - len(state.chosen)
+            self.evaluations += state.ev.n - len(state.chosen)
             if give_up:
                 top = np.partition(fresh[cached > -np.inf], -left)[-left:].sum()
                 if value + top < stop_at - 1e-9 * max(1.0, abs(stop_at)):
                     return False
-            key = np.minimum(cached, fresh)
-            v = int(np.argmax(key))
-            refreshed = (cached > key[v]) | ((cached == key[v]) & (ids <= v))
-            cached[refreshed] = fresh[refreshed]
-            cached[v] = -np.inf
+            v = _celf_pick(cached, fresh)
             self.vals.append((self.vals[-1] if self.vals else 0.0) + float(fresh[v]))
             state.add(v)
 
     def trace(self) -> SelectionTrace:
         return SelectionTrace(tuple(self.state.chosen[self.start:]), tuple(self.vals),
                               self.evaluations, tuple(self.state.counts.tolist()))
+
+
+def _celf_pick(cached, fresh) -> int:
+    """CELF's pick v = argmax(min(cached, fresh)), lowest id on ties.
+
+    Updates ``cached`` in place: the entries whose (cached gain, id)
+    ranks at or above (min(cached, fresh)[v], v) take their fresh gains,
+    and v's becomes -inf.
+    """
+    key = np.minimum(cached, fresh)
+    v = int(np.argmax(key))
+    refreshed = cached > key[v]
+    refreshed[: v + 1] |= cached[: v + 1] == key[v]
+    np.copyto(cached, fresh, where=refreshed)
+    cached[v] = -np.inf
+    return v
 
 
 def _greedy_run(state, budget, objective, stop_at=None) -> SelectionTrace:

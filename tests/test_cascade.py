@@ -321,6 +321,69 @@ def test_uncovered_rows_track_gain_counts_across_chunks(monkeypatch):
         assert np.array_equal(ev.reach_counts, one_shot)
 
 
+def _spy_decrements(monkeypatch):
+    """Record the number of items in each ``CoverageState._decrement`` call."""
+    calls = []
+    decrement = cascade.CoverageState._decrement
+
+    def spy(self, stops, sizes, ends, weights):
+        calls.append(len(sizes))
+        decrement(self, stops, sizes, ends, weights)
+
+    monkeypatch.setattr(cascade.CoverageState, "_decrement", spy)
+    return calls
+
+
+def test_add_takes_rows_that_fit_one_chunk_in_one_decrement(monkeypatch):
+    # An add whose member rows hold exactly _CHUNK_BYTES // 8 entries makes
+    # one _decrement call; one entry more, a one-vertex row that starts at
+    # that bound, makes two.  A directed set has such rows: an SCC that no
+    # other vertex reaches.
+    g, dg, part = _uncovered_instance()
+    calls = _spy_decrements(monkeypatch)
+    splits = []
+    for graph in (g, dg):
+        sk = sample_sketches(graph, 40, 2)
+        sizes = np.diff(sk.items.members.indptr)
+        reached = sk.items.reached
+        for v in range(graph.n):
+            new = reached.indices[reached.indptr[v] : reached.indptr[v + 1]]
+            if not len(new):
+                continue
+            entries = int(sizes[new].sum())
+            cases = [(entries, [len(new)])]
+            if sizes[new[-1]] == 1:
+                cases.append((entries - 1, [len(new) - 1, 1]))
+                splits.append(graph.directed)
+            for per_chunk, want in cases:
+                monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * per_chunk)
+                calls.clear()
+                state = sk.coverage_state(part)
+                state.add(v)
+                assert calls == want, (v, per_chunk)
+                assert state.uncovered.dtype == np.int64
+                for u in range(graph.n):
+                    assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
+                assert not state.uncovered[v].any()
+    assert splits and all(splits)  # only the directed set has one-vertex rows
+
+
+def test_add_of_a_chosen_or_covered_vertex_changes_nothing(monkeypatch):
+    # On a p = 1 path every sketch is one component that every vertex
+    # reaches, so after one pick no other vertex gains anything.
+    g = Graph(n=4, edges=((0, 1), (1, 2), (2, 3)), p=1.0)
+    part = CommunityPartition(labels=(0, 0, 1, 1))
+    calls = _spy_decrements(monkeypatch)
+    state = sample_sketches(g, 5, 1).coverage_state(part)
+    assert state.add(1).tolist() == [10, 10] and calls == [5]
+    for v in (1, 2):  # chosen, then covered but not chosen
+        counts, uncovered = state.counts.copy(), state.uncovered.copy()
+        assert state.add(v).tolist() == [0, 0]
+        assert np.array_equal(state.counts, counts)
+        assert state.uncovered.dtype == np.int64 and np.array_equal(state.uncovered, uncovered)
+    assert not state.uncovered.any() and calls == [5] and state.chosen == [1, 1, 2]
+
+
 def test_reach_counts_with_rows_longer_than_a_block(monkeypatch):
     # Blocks are cut at item rows, so a row longer than a block leaves
     # empty blocks between its cuts.

@@ -1,10 +1,12 @@
 """Graph container, SBM generator and file format tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from fairspread import graph
 from fairspread.cli import main
 from fairspread.errors import GraphFormatError
 from fairspread.graph import (
@@ -199,6 +201,33 @@ def test_graph_round_trip(tmp_path):
     assert g2 == g
     assert part2 == part
     assert json.loads(path.read_text())["meta"] == {"note": "kept"}
+
+
+def test_load_graph_checks_edges_as_one_array_or_entry_by_entry(monkeypatch):
+    # A document whose edges are all integer pairs reaches Graph as one
+    # array; the per-entry loop, forced here, must build the same graph.
+    g, part = generate_sbm(SbmSpec((40, 40), (0.2, 0.1), 0.02), 5)
+    doc = {"n": g.n, "directed": False, "p": 0.3, "edges": [list(e) for e in g.edges],
+           "communities": list(part.labels)}
+    assert graph._int_pair_array(doc["edges"]) is not None
+    fast = load_graph(doc)
+    monkeypatch.setattr(graph, "_int_pair_array", lambda entries: None)
+    loop = load_graph(doc)
+    assert fast == loop and hash(fast[0]) == hash(loop[0])
+    for h, _ in (fast, loop):
+        assert h.edges == tuple(map(tuple, doc["edges"]))
+        assert all(type(x) is int for e in h.edges for x in e)
+        assert np.array_equal(h.edge_array, g.edge_array)
+
+
+@pytest.mark.parametrize("entry", [[3, True], [True, 3], [3, 4.0], [3, 4, 5], [3], []])
+def test_load_graph_names_the_first_malformed_edge_entry(entry):
+    edges = [[u, v] for u in range(50) for v in range(u + 1, 50)][:1000]
+    doc = {"n": 50, "directed": False, "p": 0.5, "communities": [0] * 50,
+           "edges": [*edges, entry, [0, 2.5]]}
+    message = f"malformed edge entry {entry!r} (expected an integer pair)"
+    with pytest.raises(GraphFormatError, match=re.escape(message)):
+        load_graph(doc)
 
 
 def test_load_graph_reports_missing_fields(tmp_path):

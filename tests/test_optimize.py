@@ -29,6 +29,7 @@ from fairspread.optimize import (
     METHODS,
     DcBounds,
     TotalObjective,
+    _celf_pick,
     _greedy_run,
     _lazy_greedy,
     dc_objective,
@@ -167,6 +168,32 @@ def test_greedy_run_keeps_the_heaps_picks():
     obj = runs[7][0]  # welfare at alpha 0.9
     _, naive = naive_greedy(sk, part, k, obj)
     assert naive.chosen != _greedy_run(sk.coverage_state(part), k, obj).chosen
+
+
+def test_celf_pick_refreshes_as_the_masked_rule():
+    # The refresh written over every id, with exact ties in the cached and
+    # fresh gains, infinite cached gains, and picks at both ends.
+    rng = np.random.default_rng(12)
+    levels = np.array([-np.inf, 0.0, 0.125, 0.125, 0.5, 1.0, np.inf])
+    ends = set()
+    for trial in range(600):
+        n = int(rng.integers(1, 30))
+        cached = rng.choice(levels, n)
+        fresh = rng.choice(levels[1:-1], n) if trial % 2 else rng.uniform(0, 1, n).round(2)
+        if trial % 3:  # a unique top key at the first or the last id
+            at = 0 if trial % 3 == 1 else n - 1
+            cached[at], fresh[at] = np.inf, 2.0
+        key = np.minimum(cached, fresh)
+        want_v = int(np.argmax(key))
+        ids = np.arange(n)
+        refreshed = (cached > key[want_v]) | ((cached == key[want_v]) & (ids <= want_v))
+        want = cached.copy()
+        want[refreshed] = fresh[refreshed]
+        want[want_v] = -np.inf
+        v = _celf_pick(cached, fresh)
+        assert v == want_v and np.array_equal(cached, want), trial
+        ends.add((v == 0, v == n - 1))
+    assert {(True, False), (False, True), (False, False), (True, True)} <= ends
 
 
 def test_greedy_trace_monotone_nondecreasing():
