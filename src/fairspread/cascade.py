@@ -480,8 +480,7 @@ class _Evaluator:
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
         n = sk.graph.n
-        if len(part.labels) != n:
-            raise GraphFormatError("community partition does not match sketch graph")
+        part.check_vertex_count(n)
         self.n = n
         self.part = part
         self.items = sk.items
@@ -617,8 +616,7 @@ def _estimates(sk: SketchSet, seed_lists, part: CommunityPartition):
     table holds about ``_CHUNK_BYTES``; a vertex counts once for each
     sketch in which it is reached.
     """
-    if len(part.labels) != sk.graph.n:
-        raise GraphFormatError("community partition does not match sketch graph")
+    part.check_vertex_count(sk.graph.n)
     onehot = np.equal.outer(part.labels, np.arange(part.num_communities)).astype(np.int64)
     size = max(1, _CHUNK_BYTES // (8 * sk.graph.n * len(sk.arc_bits.full)))
     while batch := list(islice(seed_lists, size)):
@@ -649,8 +647,7 @@ class _LiveEdgeSubsets:
     """
 
     def __init__(self, g: Graph, part: CommunityPartition):
-        if len(part.labels) != g.n:
-            raise GraphFormatError("community partition does not match graph")
+        part.check_vertex_count(g.n)
         ends = g.edge_array if g.p > 0 else g.edge_array[:0]
         coins = len(ends) if g.p < 1 else 0
         if coins > EXACT_COIN_LIMIT:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -32,9 +32,6 @@ from .fixtures import verify_all
 from .graph import (
     Graph,
     SeedSet,
-    _is_int,
-    _is_list_of,
-    _is_number,
     _read_document,
     generate_sbm,
     load_graph,
@@ -130,16 +127,9 @@ class _FlattenSeeds(argparse.Action):
         setattr(namespace, self.dest, [v for tok in values for v in tok] if values else None)
 
 
-# Sweep config fields passed to ExperimentConfig: (key, check, expected type).
-_SWEEP_FIELDS = (
-    ("budgets", lambda x: _is_list_of(x, _is_int), "a list of integers"),
-    ("alphas", lambda x: _is_list_of(x, _is_number), "a list of numbers"),
-    ("baselines", lambda x: _is_list_of(x, lambda b: isinstance(b, str)), "a list of names"),
-    ("replications", _is_int, "an integer"),
-    ("master_seed", lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
-    ("R", _is_int, "an integer"),
-    ("p", _is_number, "a number"),
-)
+# The ExperimentConfig fields a sweep config sets as plain values.
+_KNOBS = tuple(f.name for f in fields(ExperimentConfig)
+               if f.name not in ("sbm", "graph", "partition"))
 
 
 def _csv_cell(value) -> str:
@@ -197,8 +187,7 @@ def _cmd_select(args) -> int:
 
 def _sweep_knobs(cfg: ExperimentConfig) -> dict:
     """The resolved sweep configuration; a fixed graph is known by its config file."""
-    doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-           if f.name not in ("sbm", "graph", "partition")}
+    doc = {key: getattr(cfg, key) for key in _KNOBS}
     if cfg.sbm is not None:
         doc["sbm"] = asdict(cfg.sbm)
     return doc
@@ -212,16 +201,12 @@ def _cmd_sweep(args) -> int:
         kwargs["sbm"] = load_sbm_spec(doc["sbm"])
     if "graph" in doc:
         kwargs["graph"], kwargs["partition"] = load_graph(doc["graph"])
-    for key, check, expected in _SWEEP_FIELDS:
+    for key in _KNOBS:
         if key in doc:
-            if not check(doc[key]):
-                raise GraphFormatError(f"sweep config field '{key}' must be {expected}")
             kwargs[key] = tuple(doc[key]) if isinstance(doc[key], list) else doc[key]
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    if args.sketches is not None:
-        kwargs["R"] = args.sketches
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)  # the document is checked as written
+    flags = {"master_seed": args.seed, "R": args.sketches}
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
     if kind == "sweep":
         rows = run_sweep(cfg)
     elif kind == "connectedness":

@@ -18,6 +18,7 @@ from statistics import mean, pstdev
 from .cascade import sample_sketches
 from .errors import GraphFormatError
 from .graph import CommunityPartition, Graph, SbmSpec, generate_sbm
+from .graph import _is_int, _is_list_of, _is_number
 from .optimize import check_budget, select_seeds
 from .welfare import default_params, pof, total_influence, utility_gap
 
@@ -25,10 +26,25 @@ DEFAULT_ALPHAS = (-9.0, -5.0, -2.0, 0.0, 0.5, 0.9)
 DEFAULT_BUDGETS = (30,)
 BASELINES = ("utilitarian", "maximin", "dc")
 
+# The knobs' checks, not coercions: (field, check, the type the message names).
+_KNOB_TYPES = (
+    ("budgets", lambda x: x is None or _is_list_of(x, _is_int), "a list of integers"),
+    ("alphas", lambda x: _is_list_of(x, _is_number), "a list of numbers"),
+    ("baselines", lambda x: _is_list_of(x, lambda b: isinstance(b, str)), "a list of names"),
+    ("replications", _is_int, "an integer"),
+    ("master_seed", lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
+    ("R", _is_int, "an integer"),
+    ("p", lambda x: x is None or _is_number(x), "a number"),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for the synthetic studies."""
+    """Shared knobs for the synthetic studies.
+
+    Each knob's type is checked, not coerced, with the message that
+    names it as a sweep config field; ``budgets`` and ``p`` may be None.
+    """
 
     sbm: SbmSpec | None = None
     graph: Graph | None = None
@@ -42,6 +58,9 @@ class ExperimentConfig:
     p: float | None = None  # SBM graphs' propagation probability, 0.25 if None
 
     def __post_init__(self):
+        for name, check, expected in _KNOB_TYPES:
+            if not check(getattr(self, name)):
+                raise GraphFormatError(f"sweep config field '{name}' must be {expected}")
         if self.replications < 1:
             raise GraphFormatError("replications must be >= 1")
         if (self.sbm is None) == (self.graph is None):

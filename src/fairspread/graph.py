@@ -26,7 +26,9 @@ class Graph:
     Undirected edges are stored once and expanded to two arcs at
     simulation time.  ``edges`` is a tuple of int pairs; ``edge_array``
     holds the same pairs as a read-only (m, 2) int64 array, which the
-    sketch and oracle code reads.
+    sketch and oracle code reads.  Values are checked, not coerced:
+    ``n`` and the endpoints must be integers, ``directed`` a bool and
+    ``p`` a number; ``n`` is stored as an int and ``p`` as a float.
     """
 
     n: int
@@ -36,6 +38,14 @@ class Graph:
     edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise GraphFormatError("'n' must be an integer")
+        if not isinstance(self.directed, bool):
+            raise GraphFormatError("'directed' must be true or false")
+        if not _is_number(self.p):
+            raise GraphFormatError("'p' must be a number")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "p", float(self.p))
         if self.n < 0:
             raise GraphFormatError("vertex count must be non-negative")
         if not (0.0 <= self.p <= 1.0):
@@ -100,10 +110,10 @@ def _checked_edges(edges, n: int, directed: bool) -> list[tuple[int, int]]:
     """edges as int pairs, checked one at a time: raises GraphFormatError at
     the first edge with a non-integer endpoint, out of range, self-loop or
     repeat, in edge order, and unpacking raises at an entry that is not a
-    pair.  Python and numpy integers are integers; bools are not."""
+    pair."""
     seen, pairs = set(), []
     for u, v in edges:
-        if not (_is_endpoint(u) and _is_endpoint(v)):
+        if not (_is_int(u) and _is_int(v)):
             raise GraphFormatError(f"non-integer vertex id in edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
@@ -119,23 +129,31 @@ def _checked_edges(edges, n: int, directed: bool) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CommunityPartition:
-    """Disjoint community labels covering all vertices."""
+    """Disjoint community labels covering all vertices.
+
+    The labels must be integers (not bools) numbering the communities
+    densely from 0; they are stored as a tuple of ints.
+    """
 
     labels: tuple[int, ...]
     sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.labels) == 0:
+        n = len(self.labels)
+        if n == 0:
             raise GraphFormatError("empty community labeling")
-        labels = tuple(int(c) for c in self.labels)
-        object.__setattr__(self, "labels", labels)
-        num = max(labels) + 1
-        counts = [0] * num
-        for c in labels:
+        counts = [0] * n  # a label of n or more leaves one of 0..n-1 empty
+        for c in self.labels:
+            if type(c) is not int and not _is_int(c):  # a Python int skips the call
+                raise GraphFormatError(f"community label {c!r} is not an integer")
             if c < 0:
                 raise GraphFormatError(f"negative community label {c}")
-            counts[c] += 1
-        if any(s == 0 for s in counts):
+            if c < n:
+                counts[c] += 1
+        labels = tuple(map(int, self.labels))
+        object.__setattr__(self, "labels", labels)
+        counts = counts[: max(labels) + 1]
+        if 0 in counts:
             raise GraphFormatError("community ids must be dense (every community non-empty)")
         object.__setattr__(self, "sizes", tuple(counts))
 
@@ -146,16 +164,24 @@ class CommunityPartition:
     def members(self, c: int) -> list[int]:
         return [v for v, lab in enumerate(self.labels) if lab == c]
 
+    def check_vertex_count(self, n: int) -> None:
+        """Raise GraphFormatError unless there is one label per vertex of an n-vertex graph."""
+        if len(self.labels) != n:
+            raise GraphFormatError(f"{len(self.labels)} community labels for {n} vertices")
+
 
 @dataclass(frozen=True)
 class SeedSet:
-    """A budget-feasible set of influencer vertices."""
+    """A budget-feasible set of influencer vertices, whose ids must be integers (not bools)."""
 
     vertices: frozenset[int]
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(int(v) for v in self.vertices))
+        for v in self.vertices:
+            if not _is_int(v):
+                raise GraphFormatError(f"seed id {v!r} is not an integer")
+        object.__setattr__(self, "vertices", frozenset(map(int, self.vertices)))
         if len(self.vertices) > self.k:
             raise GraphFormatError(f"{len(self.vertices)} seeds exceed budget {self.k}")
         if any(v < 0 for v in self.vertices):
@@ -175,9 +201,11 @@ class SeedSet:
 class SbmSpec:
     """Stochastic block model parameters.
 
-    ``between_prob`` may be a single float (shared by all community
-    pairs) or a full symmetric matrix; it is normalized to a matrix
-    whose diagonal repeats ``within_prob``.
+    ``community_sizes`` must be a list of integers, ``within_prob`` a
+    number or a list of numbers and ``between_prob`` a number (shared by
+    all community pairs) or a full symmetric matrix of numbers; bools
+    are not numbers.  ``between_prob`` is normalized to a matrix whose
+    diagonal repeats ``within_prob``.
     """
 
     community_sizes: tuple[int, ...]
@@ -185,19 +213,25 @@ class SbmSpec:
     between_prob: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.community_sizes)
+        sizes, within, between = self.community_sizes, self.within_prob, self.between_prob
+        if not _is_list_of(sizes, _is_int):
+            raise GraphFormatError("'community_sizes' must be a list of integers")
+        if not (_is_number(within) or _is_list_of(within, _is_number)):
+            raise GraphFormatError("'within_prob' must be a number or a list of numbers")
+        matrix = _is_list_of(between, lambda row: _is_list_of(row, _is_number))
+        if not (_is_number(between) or matrix):
+            raise GraphFormatError("'between_prob' must be a number or a matrix of numbers")
+        sizes = tuple(map(int, sizes))
         object.__setattr__(self, "community_sizes", sizes)
         if any(s < 1 for s in sizes):
             raise GraphFormatError("community sizes must be >= 1")
         k = len(sizes)
-        within = self.within_prob
-        if isinstance(within, (int, float)):
+        if _is_number(within):
             within = (float(within),) * k
         within = tuple(float(q) for q in within)
         if len(within) != k:
             raise GraphFormatError("within_prob length must match community count")
-        between = self.between_prob
-        if isinstance(between, (int, float)):
+        if _is_number(between):
             between = tuple(
                 tuple(float(between) if i != j else within[i] for j in range(k))
                 for i in range(k)
@@ -267,6 +301,7 @@ def induced_within_community_subgraph(
     Returns the subgraph and the list mapping new ids back to original
     vertex ids.
     """
+    part.check_vertex_count(g.n)
     if not (0 <= c < part.num_communities):
         raise GraphFormatError(f"community id {c} out of range")
     members = part.members(c)
@@ -280,64 +315,32 @@ def induced_within_community_subgraph(
 def load_graph(source) -> tuple[Graph, CommunityPartition]:
     """Parse a graph document (path or already-parsed dict).
 
-    Field types are checked, not coerced: ``directed`` must be a
-    boolean, ``p`` a number, ``edges`` and ``communities`` lists, and
-    ``n``, edge endpoints and community labels integers (booleans are
-    rejected for all of these).
+    The reader checks that every field is present, that ``edges`` and
+    ``communities`` are lists and that there is one label per vertex;
+    ``Graph`` and ``CommunityPartition`` check the values' types.  When
+    ``Graph`` rejects the edges, the first entry that is not a pair of
+    integers is named.
     """
     doc = _read_document(source)
     for key in ("n", "directed", "p", "edges", "communities"):
         if key not in doc:
             raise GraphFormatError(f"missing field '{key}'")
-    n = doc["n"]
-    if not _is_int(n):
-        raise GraphFormatError("'n' must be an integer")
-    if not isinstance(doc["directed"], bool):
-        raise GraphFormatError("'directed' must be true or false")
-    p = doc["p"]
-    if not _is_number(p):
-        raise GraphFormatError("'p' must be a number")
     for key in ("edges", "communities"):
         if not isinstance(doc[key], (list, tuple)):
             raise GraphFormatError(f"'{key}' must be a list")
-    edges = _int_pair_array(doc["edges"])
-    if edges is None:  # the per-entry check names the first malformed entry
-        edges = []
+    try:
+        g = Graph(n=doc["n"], edges=doc["edges"], directed=doc["directed"], p=doc["p"])
+    except (TypeError, ValueError):  # TypeError: an entry that does not unpack
         for e in doc["edges"]:
             if not (_is_list_of(e, _is_int) and len(e) == 2):
                 raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
-            edges.append((e[0], e[1]))
-        edges = tuple(edges)
+        raise
     labels = doc["communities"]
-    if len(labels) != n:
+    if len(labels) != g.n:
         raise GraphFormatError(
-            f"{len(labels)} community labels for {n} vertices (vertex without community label)"
+            f"{len(labels)} community labels for {g.n} vertices (vertex without community label)"
         )
-    for c in labels:
-        if not _is_int(c):
-            raise GraphFormatError(f"community label {c!r} is not an integer")
-    g = Graph(n=n, edges=edges, directed=doc["directed"], p=float(p))
-    part = CommunityPartition(labels=tuple(labels))
-    return g, part
-
-
-def _int_pair_array(entries) -> np.ndarray | None:
-    """A document's edge entries as an (m, 2) integer array, or None unless
-    every entry is a list or tuple of two Python ints (not bools) that
-    numpy holds in an integer dtype.
-
-    numpy reads bools among ints as ints, so the entries' types are
-    checked too; an array is what ``Graph`` validates without a loop.
-    """
-    try:
-        ends = np.array(entries)
-    except (TypeError, ValueError):  # entries of unequal lengths
-        return None
-    if ends.dtype.kind not in "iu" or ends.shape != (len(entries), 2):
-        return None
-    pairs_of_ints = (set(map(type, entries)) <= {list, tuple}
-                     and set(map(type, chain.from_iterable(entries))) <= {int})
-    return ends if pairs_of_ints else None
+    return g, CommunityPartition(labels=labels)
 
 
 def save_graph(g: Graph, part: CommunityPartition, path, meta: dict | None = None) -> None:
@@ -357,23 +360,14 @@ def save_graph(g: Graph, part: CommunityPartition, path, meta: dict | None = Non
 def load_sbm_spec(source) -> SbmSpec:
     """Parse an SBM spec document (path or already-parsed dict).
 
-    Field types are checked, not coerced: ``community_sizes`` must be a
-    list of integers, ``within_prob`` a number or a list of numbers and
-    ``between_prob`` a number or a list of rows of numbers.
+    The reader checks that every field is present; ``SbmSpec`` checks
+    the values' types.
     """
     doc = _read_document(source)
     for key in ("community_sizes", "within_prob", "between_prob"):
         if key not in doc:
             raise GraphFormatError(f"missing field '{key}' in SBM spec")
-    sizes, within, between = doc["community_sizes"], doc["within_prob"], doc["between_prob"]
-    if not _is_list_of(sizes, _is_int):
-        raise GraphFormatError("'community_sizes' must be a list of integers")
-    if not (_is_number(within) or _is_list_of(within, _is_number)):
-        raise GraphFormatError("'within_prob' must be a number or a list of numbers")
-    matrix = _is_list_of(between, lambda row: _is_list_of(row, _is_number))
-    if not (_is_number(between) or matrix):
-        raise GraphFormatError("'between_prob' must be a number or a matrix of numbers")
-    return SbmSpec(community_sizes=tuple(sizes), within_prob=within, between_prob=between)
+    return SbmSpec(doc["community_sizes"], doc["within_prob"], doc["between_prob"])
 
 
 def _read_document(source) -> dict:
@@ -394,16 +388,13 @@ def _read_document(source) -> dict:
     return doc
 
 
-def _is_endpoint(x) -> bool:
+def _is_int(x) -> bool:
+    """Python and numpy integers are integers; bools are not."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return _is_int(x) or isinstance(x, (float, np.floating))
 
 
 def _is_list_of(x, check) -> bool:

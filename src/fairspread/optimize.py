@@ -347,6 +347,7 @@ def dc_lower_bounds(
     with its proportional budget floor(k * n_c / n) and fresh sketches
     keyed by (master_seed, c); U_c is the utility its greedy covered.
     """
+    part.check_vertex_count(g.n)
     if k > g.n:
         raise InfeasibleError(f"budget {k} exceeds vertex count {g.n}")
     n = g.n

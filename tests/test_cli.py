@@ -393,6 +393,15 @@ def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, key, value", [("--sketches", "R", 2.5),
+                                              ("--seed", "master_seed", -3)])
+def test_sweep_flags_do_not_hide_a_malformed_config_field(tmp_path, capsys, flag, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_SWEEP_CONFIG, key: value}))
+    assert main(["sweep", "--config", str(path), flag, "10"]) == 3
+    assert f"sweep config field '{key}'" in capsys.readouterr().err
+
+
 def test_size_study_on_a_small_sbm_needs_no_budgets(tmp_path):
     # Budgets default to 30, above n = 20, but the size study never runs them.
     config = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ import pytest
 from fairspread import graph
 from fairspread.cli import main
 from fairspread.errors import GraphFormatError
+from fairspread.experiments import ExperimentConfig
 from fairspread.graph import (
     CommunityPartition,
     Graph,
@@ -127,6 +128,52 @@ def test_graph_rejects_bad_probability():
         Graph(n=2, edges=(), p=1.5)
 
 
+def _config(**change):
+    return ExperimentConfig(**{"sbm": SbmSpec((8, 8), 0.2, 0.05), "budgets": (2,), **change})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: CommunityPartition(labels=(0, 1.9, 0)),
+                 "community label 1.9 is not an integer", id="label-float"),
+    pytest.param(lambda: CommunityPartition(labels=(False, True)),
+                 "community label False is not an integer", id="label-bool"),
+    pytest.param(lambda: SeedSet(frozenset({1.5}), 1), "seed id 1.5 is not an integer",
+                 id="seed-float"),
+    pytest.param(lambda: SbmSpec((3.7, 4), 0.5, 0.1),
+                 "'community_sizes' must be a list of integers", id="sizes-float"),
+    pytest.param(lambda: SbmSpec((3, 4), True, 0.1),
+                 "'within_prob' must be a number or a list of numbers", id="within-bool"),
+    pytest.param(lambda: SbmSpec((3, 4), "0.5", 0.1),
+                 "'within_prob' must be a number or a list of numbers", id="within-str"),
+    pytest.param(lambda: SbmSpec((3, 4), 0.5, "0.1"),
+                 "'between_prob' must be a number or a matrix of numbers", id="between-str"),
+    pytest.param(lambda: Graph(n=True, edges=()), "'n' must be an integer", id="n-bool"),
+    pytest.param(lambda: Graph(n=2, edges=(), directed=1), "'directed' must be true or false",
+                 id="directed-int"),
+    pytest.param(lambda: Graph(n=2, edges=(), p="0.5"), "'p' must be a number", id="p-str"),
+    pytest.param(lambda: _config(R=2.5), "sweep config field 'R' must be an integer",
+                 id="config-R-float"),
+    pytest.param(lambda: _config(replications=2.0),
+                 "sweep config field 'replications' must be an integer", id="config-reps-float"),
+    pytest.param(lambda: _config(p=True), "sweep config field 'p' must be a number",
+                 id="config-p-bool"),
+])
+def test_constructors_reject_what_documents_reject(build, message):
+    with pytest.raises(GraphFormatError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_constructors_store_python_values():
+    g = Graph(n=np.int64(3), edges=((0, 1),), p=1)
+    assert type(g.n) is int and type(g.p) is float
+    assert Graph(n=2, edges=(), p=np.float32(0.5)).p == 0.5
+    assert SbmSpec((np.int64(2),), np.float32(0.5), 0.1).within_prob == (0.5,)
+    assert CommunityPartition(labels=(np.int64(0), 1)).labels == (0, 1)
+    assert all(type(c) is int for c in CommunityPartition(labels=np.arange(3)).labels)
+    assert all(type(v) is int for v in SeedSet(frozenset({np.int32(2)}), 1).vertices)
+
+
 def test_partition_sizes_and_members():
     part = CommunityPartition(labels=(0, 1, 0, 2, 1))
     assert part.sizes == (2, 2, 1)
@@ -204,20 +251,23 @@ def test_graph_round_trip(tmp_path):
 
 
 def test_load_graph_checks_edges_as_one_array_or_entry_by_entry(monkeypatch):
-    # A document whose edges are all integer pairs reaches Graph as one
-    # array; the per-entry loop, forced here, must build the same graph.
+    # load_graph hands a document's edge list to Graph, which checks it as
+    # one array; the per-edge checks, forced here, must build the same graph.
     g, part = generate_sbm(SbmSpec((40, 40), (0.2, 0.1), 0.02), 5)
     doc = {"n": g.n, "directed": False, "p": 0.3, "edges": [list(e) for e in g.edges],
            "communities": list(part.labels)}
-    assert graph._int_pair_array(doc["edges"]) is not None
-    fast = load_graph(doc)
-    monkeypatch.setattr(graph, "_int_pair_array", lambda entries: None)
-    loop = load_graph(doc)
-    assert fast == loop and hash(fast[0]) == hash(loop[0])
-    for h, _ in (fast, loop):
-        assert h.edges == tuple(map(tuple, doc["edges"]))
+    edges = tuple(map(tuple, doc["edges"]))
+    loaded, loaded_part = load_graph(doc)
+    assert loaded_part == part
+    built = Graph(n=g.n, edges=edges, p=0.3)
+    monkeypatch.setattr(graph, "_simple_edge_array", lambda edges, n, directed: None)
+    looped = Graph(n=g.n, edges=edges, p=0.3)
+    for h in (built, looped):
+        assert h == loaded and hash(h) == hash(loaded)
+        assert h.edges == loaded.edges == edges
         assert all(type(x) is int for e in h.edges for x in e)
-        assert np.array_equal(h.edge_array, g.edge_array)
+        assert np.array_equal(h.edge_array, loaded.edge_array)
+    assert np.array_equal(loaded.edge_array, g.edge_array)
 
 
 @pytest.mark.parametrize("entry", [[3, True], [True, 3], [3, 4.0], [3, 4, 5], [3], []])

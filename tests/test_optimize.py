@@ -14,9 +14,10 @@ from fairspread.cascade import (
     CoverageState,
     UtilityVector,
     estimate_utilities,
+    exact_utilities,
     sample_sketches,
 )
-from fairspread.errors import EnumerationLimitError, InfeasibleError
+from fairspread.errors import EnumerationLimitError, GraphFormatError, InfeasibleError
 from fairspread.graph import (
     CommunityPartition,
     Graph,
@@ -49,6 +50,30 @@ from fairspread.welfare import default_params, utility_gap, welfare
 
 def _instance(seed=0, sizes=(25, 25), q=0.15, between=0.03, p=0.25):
     return generate_sbm(SbmSpec(sizes, (q,) * len(sizes), between), seed, p=p)
+
+
+# Each takes (graph, its sketches, a partition) and uses the partition's labels.
+_PARTITION_USERS = {
+    "estimate_utilities":
+        lambda g, sk, part: estimate_utilities(sk, SeedSet(frozenset({0}), 1), part),
+    "greedy_welfare": lambda g, sk, part: greedy_welfare(sk, part, 4, default_params(-2.0, g.n)),
+    "exact_utilities": lambda g, sk, part: exact_utilities(g, SeedSet(frozenset({0}), 1), part),
+    "dc_lower_bounds": lambda g, sk, part: dc_lower_bounds(g, part, 4, 50, 0),
+    "induced_within_community_subgraph":
+        lambda g, sk, part: induced_within_community_subgraph(g, part, 0),
+}
+
+
+@pytest.mark.parametrize("use", _PARTITION_USERS.values(), ids=_PARTITION_USERS.keys())
+@pytest.mark.parametrize("sizes", [(10, 20), (20, 30)], ids=["short", "long"])
+def test_partition_must_label_every_vertex(use, sizes):
+    # A short partition used to give dc_lower_bounds wrong budgets and
+    # subgraphs, and a long one an IndexError.
+    g, _ = _instance(3, sizes=(20, 20))
+    part = CommunityPartition(labels=(0,) * sizes[0] + (1,) * sizes[1])
+    with pytest.raises(GraphFormatError) as info:
+        use(g, sample_sketches(g, 50, 0), part)
+    assert str(info.value) == f"{sum(sizes)} community labels for 40 vertices"
 
 
 def test_budget_validation():
