@@ -195,6 +195,9 @@ def _sweep_knobs(cfg: ExperimentConfig) -> dict:
 
 def _cmd_sweep(args) -> int:
     doc = _read_document(args.config)
+    for key in doc:
+        if key not in ("experiment", "sbm", "graph", *_KNOBS):
+            raise GraphFormatError(f"unknown sweep config field '{key}'")
     kind = doc.get("experiment", "sweep")
     kwargs = {}
     if "sbm" in doc:

@@ -26,8 +26,11 @@ DEFAULT_ALPHAS = (-9.0, -5.0, -2.0, 0.0, 0.5, 0.9)
 DEFAULT_BUDGETS = (30,)
 BASELINES = ("utilitarian", "maximin", "dc")
 
-# The knobs' checks, not coercions: (field, check, the type the message names).
-_KNOB_TYPES = (
+# The fields' checks, not coercions: (field, check, the type the message names).
+_FIELD_TYPES = (
+    ("sbm", lambda x: x is None or isinstance(x, SbmSpec), "an SBM spec"),
+    ("graph", lambda x: x is None or isinstance(x, Graph), "a graph"),
+    ("partition", lambda x: x is None or isinstance(x, CommunityPartition), "a partition"),
     ("budgets", lambda x: x is None or _is_list_of(x, _is_int), "a list of integers"),
     ("alphas", lambda x: _is_list_of(x, _is_number), "a list of numbers"),
     ("baselines", lambda x: _is_list_of(x, lambda b: isinstance(b, str)), "a list of names"),
@@ -58,7 +61,7 @@ class ExperimentConfig:
     p: float | None = None  # SBM graphs' propagation probability, 0.25 if None
 
     def __post_init__(self):
-        for name, check, expected in _KNOB_TYPES:
+        for name, check, expected in _FIELD_TYPES:
             if not check(getattr(self, name)):
                 raise GraphFormatError(f"sweep config field '{name}' must be {expected}")
         if self.replications < 1:

@@ -108,11 +108,14 @@ def _simple_edge_array(edges, n: int, directed: bool) -> np.ndarray | None:
 
 def _checked_edges(edges, n: int, directed: bool) -> list[tuple[int, int]]:
     """edges as int pairs, checked one at a time: raises GraphFormatError at
-    the first edge with a non-integer endpoint, out of range, self-loop or
-    repeat, in edge order, and unpacking raises at an entry that is not a
-    pair."""
+    the first entry that is not a pair, or edge with a non-integer
+    endpoint, out of range, self-loop or repeat, in edge order."""
     seen, pairs = set(), []
-    for u, v in edges:
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):  # not iterable, or not two values
+            raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
         if not (_is_int(u) and _is_int(v)):
             raise GraphFormatError(f"non-integer vertex id in edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -172,12 +175,16 @@ class CommunityPartition:
 
 @dataclass(frozen=True)
 class SeedSet:
-    """A budget-feasible set of influencer vertices, whose ids must be integers (not bools)."""
+    """A budget-feasible set of influencer vertices; the ids and the budget
+    ``k`` must be integers (not bools)."""
 
     vertices: frozenset[int]
     k: int
 
     def __post_init__(self):
+        if not _is_int(self.k):
+            raise GraphFormatError(f"budget {self.k!r} is not an integer")
+        object.__setattr__(self, "k", int(self.k))
         for v in self.vertices:
             if not _is_int(v):
                 raise GraphFormatError(f"seed id {v!r} is not an integer")
@@ -204,8 +211,8 @@ class SbmSpec:
     ``community_sizes`` must be a list of integers, ``within_prob`` a
     number or a list of numbers and ``between_prob`` a number (shared by
     all community pairs) or a full symmetric matrix of numbers; bools
-    are not numbers.  ``between_prob`` is normalized to a matrix whose
-    diagonal repeats ``within_prob``.
+    are not numbers.  ``between_prob`` is stored as a matrix whose
+    diagonal is ``within_prob``: a given matrix's diagonal is replaced.
     """
 
     community_sizes: tuple[int, ...]
@@ -232,20 +239,16 @@ class SbmSpec:
         if len(within) != k:
             raise GraphFormatError("within_prob length must match community count")
         if _is_number(between):
-            between = tuple(
-                tuple(float(between) if i != j else within[i] for j in range(k))
-                for i in range(k)
-            )
-        else:
-            between = tuple(tuple(float(x) for x in row) for row in between)
-            if len(between) != k or any(len(row) != k for row in between):
-                raise GraphFormatError("between_prob matrix must be k x k")
-        for i in range(k):
-            for j in range(k):
-                q = within[i] if i == j else between[i][j]
+            between = ((between,) * k,) * k
+        if len(between) != k or any(len(row) != k for row in between):
+            raise GraphFormatError("between_prob matrix must be k x k")
+        between = tuple(tuple(within[i] if i == j else float(x) for j, x in enumerate(row))
+                        for i, row in enumerate(between))
+        for i, row in enumerate(between):
+            for j, q in enumerate(row):
                 if not (0.0 <= q <= 1.0):
                     raise GraphFormatError(f"edge probability {q} outside [0, 1]")
-                if i != j and abs(between[i][j] - between[j][i]) > 1e-12:
+                if abs(q - between[j][i]) > 1e-12:
                     raise GraphFormatError("between_prob matrix must be symmetric")
         object.__setattr__(self, "within_prob", within)
         object.__setattr__(self, "between_prob", between)
@@ -255,7 +258,7 @@ class SbmSpec:
         return sum(self.community_sizes)
 
     def pair_prob(self, c1: int, c2: int) -> float:
-        return self.within_prob[c1] if c1 == c2 else self.between_prob[c1][c2]
+        return self.between_prob[c1][c2]
 
 
 def generate_sbm(spec: SbmSpec, rng_seed: int, p: float = 0.25) -> tuple[Graph, CommunityPartition]:
@@ -263,33 +266,26 @@ def generate_sbm(spec: SbmSpec, rng_seed: int, p: float = 0.25) -> tuple[Graph, 
 
     Vertices are numbered consecutively by community.  Each
     within-community pair is edged independently with q_c, each
-    between-community pair with q_cc'.
+    between-community pair with q_cc'.  Block by block, one uniform is
+    drawn per pair (i, j), row by row in i, with i < j within a
+    community, and a hit is mapped back to its row by the index of each
+    row's first pair, so only the hits take index memory.
     """
     rng = np.random.default_rng(rng_seed)
     sizes = spec.community_sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    edges: list[tuple[int, int]] = []
-    k = len(sizes)
-    for c1 in range(k):
-        for c2 in range(c1, k):
-            q = spec.pair_prob(c1, c2)
-            if c1 == c2:
-                ii, jj = np.triu_indices(sizes[c1], k=1)
-                ii = ii + offsets[c1]
-                jj = jj + offsets[c1]
-            else:
-                ii, jj = np.meshgrid(
-                    np.arange(sizes[c1]) + offsets[c1],
-                    np.arange(sizes[c2]) + offsets[c2],
-                    indexing="ij",
-                )
-                ii = ii.ravel()
-                jj = jj.ravel()
-            mask = rng.random(len(ii)) < q
-            edges.extend(zip(ii[mask].tolist(), jj[mask].tolist()))
-    g = Graph(n=int(offsets[-1]), edges=tuple(edges), directed=False, p=p)
-    part = CommunityPartition(labels=tuple(labels.tolist()))
+    part = CommunityPartition(labels=tuple(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    starts = np.cumsum((0, *sizes))
+    blocks = []
+    for c1 in range(len(sizes)):
+        for c2 in range(c1, len(sizes)):
+            i = np.arange(starts[c1], starts[c1 + 1])
+            first = i + 1 if c1 == c2 else np.full_like(i, starts[c2])  # each row's first j
+            lengths = starts[c2 + 1] - first
+            offsets = np.cumsum(lengths) - lengths  # the index of each row's first pair
+            hits = np.flatnonzero(rng.random(offsets[-1] + lengths[-1]) < spec.pair_prob(c1, c2))
+            row = np.searchsorted(offsets, hits, side="right") - 1
+            blocks.append(np.column_stack((i[row], first[row] + hits - offsets[row])))
+    g = Graph(n=int(starts[-1]), edges=np.concatenate(blocks), directed=False, p=p)
     return g, part
 
 
@@ -315,11 +311,9 @@ def induced_within_community_subgraph(
 def load_graph(source) -> tuple[Graph, CommunityPartition]:
     """Parse a graph document (path or already-parsed dict).
 
-    The reader checks that every field is present, that ``edges`` and
-    ``communities`` are lists and that there is one label per vertex;
-    ``Graph`` and ``CommunityPartition`` check the values' types.  When
-    ``Graph`` rejects the edges, the first entry that is not a pair of
-    integers is named.
+    The reader checks that every field is present and that ``edges`` and
+    ``communities`` are lists; ``Graph`` and ``CommunityPartition`` check
+    the values, and that there is one label per vertex.
     """
     doc = _read_document(source)
     for key in ("n", "directed", "p", "edges", "communities"):
@@ -328,19 +322,10 @@ def load_graph(source) -> tuple[Graph, CommunityPartition]:
     for key in ("edges", "communities"):
         if not isinstance(doc[key], (list, tuple)):
             raise GraphFormatError(f"'{key}' must be a list")
-    try:
-        g = Graph(n=doc["n"], edges=doc["edges"], directed=doc["directed"], p=doc["p"])
-    except (TypeError, ValueError):  # TypeError: an entry that does not unpack
-        for e in doc["edges"]:
-            if not (_is_list_of(e, _is_int) and len(e) == 2):
-                raise GraphFormatError(f"malformed edge entry {e!r} (expected an integer pair)")
-        raise
-    labels = doc["communities"]
-    if len(labels) != g.n:
-        raise GraphFormatError(
-            f"{len(labels)} community labels for {g.n} vertices (vertex without community label)"
-        )
-    return g, CommunityPartition(labels=labels)
+    g = Graph(n=doc["n"], edges=doc["edges"], directed=doc["directed"], p=doc["p"])
+    part = CommunityPartition(labels=doc["communities"])
+    part.check_vertex_count(g.n)
+    return g, part
 
 
 def save_graph(g: Graph, part: CommunityPartition, path, meta: dict | None = None) -> None:
@@ -349,7 +334,7 @@ def save_graph(g: Graph, part: CommunityPartition, path, meta: dict | None = Non
         "n": g.n,
         "directed": g.directed,
         "p": g.p,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": g.edge_array.tolist(),
         "communities": list(part.labels),
     }
     if meta is not None:

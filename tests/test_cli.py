@@ -373,6 +373,9 @@ _SWEEP_GRAPH = {"n": 7, "directed": False, "p": 0.4,
         ({"experiment": "connectedness", "budgets": None,
           "sbm": {"community_sizes": [5] * 3, "within_prob": 0.2, "between_prob": 0.05}},
          "budget 30 exceeds vertex count 15"),
+        # A misspelt field is refused, not left at its default.
+        ({"replication": 1}, "unknown sweep config field 'replication'"),
+        ({"partition": [0] * 16}, "unknown sweep config field 'partition'"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):

@@ -76,14 +76,19 @@ def test_graph_rejects_endpoint_beyond_int64(tmp_path, capsys):
 @pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, 1, 2, 0),), ((0, 1), (2,)),
                                    ((0, 1), (1, 2, 0))])
 def test_graph_rejects_entries_that_are_not_pairs(edges):
-    with pytest.raises(ValueError, match="values to unpack"):
+    with pytest.raises(GraphFormatError) as info:
         Graph(n=3, edges=edges)
+    assert str(info.value) == _first_fault(edges, 3, False)
 
 
 def _first_fault(edges, n, directed):
-    """The message of the first edge out of range, self-loop or repeat, in edge order."""
+    """The message of the first entry that is not a pair, or edge out of range,
+    self-loop or repeat, in edge order."""
     seen = set()
-    for u, v in edges:
+    for e in edges:
+        if len(e) != 2:
+            return f"malformed edge entry {e!r} (expected an integer pair)"
+        u, v = e
         if not (0 <= u < n and 0 <= v < n):
             return f"vertex id out of range in edge ({u}, {v})"
         if u == v:
@@ -139,6 +144,10 @@ def _config(**change):
                  "community label False is not an integer", id="label-bool"),
     pytest.param(lambda: SeedSet(frozenset({1.5}), 1), "seed id 1.5 is not an integer",
                  id="seed-float"),
+    pytest.param(lambda: SeedSet(frozenset({1}), 1.5), "budget 1.5 is not an integer",
+                 id="seed-budget-float"),
+    pytest.param(lambda: SeedSet(frozenset({1}), True), "budget True is not an integer",
+                 id="seed-budget-bool"),
     pytest.param(lambda: SbmSpec((3.7, 4), 0.5, 0.1),
                  "'community_sizes' must be a list of integers", id="sizes-float"),
     pytest.param(lambda: SbmSpec((3, 4), True, 0.1),
@@ -157,6 +166,12 @@ def _config(**change):
                  "sweep config field 'replications' must be an integer", id="config-reps-float"),
     pytest.param(lambda: _config(p=True), "sweep config field 'p' must be a number",
                  id="config-p-bool"),
+    pytest.param(lambda: _config(sbm=5), "sweep config field 'sbm' must be an SBM spec",
+                 id="config-sbm-int"),
+    pytest.param(lambda: _config(sbm=None, graph="g.json", partition=None),
+                 "sweep config field 'graph' must be a graph", id="config-graph-path"),
+    pytest.param(lambda: _config(partition=(0, 1)),
+                 "sweep config field 'partition' must be a partition", id="config-partition-tuple"),
 ])
 def test_constructors_reject_what_documents_reject(build, message):
     with pytest.raises(GraphFormatError) as info:
@@ -201,6 +216,13 @@ def test_sbm_spec_scalar_between_normalized():
     assert spec.between_prob[1][0] == 0.05
 
 
+def test_sbm_spec_matrix_diagonal_is_within_prob():
+    spec = SbmSpec((5, 5), (0.1, 0.1), ((7.0, 0.02), (0.02, -3.0)))
+    assert spec.between_prob == ((0.1, 0.02), (0.02, 0.1))
+    assert spec == SbmSpec((5, 5), (0.1, 0.1), 0.02)
+    assert spec.pair_prob(1, 1) == 0.1
+
+
 def test_sbm_spec_rejects_asymmetric_matrix():
     with pytest.raises(GraphFormatError, match="symmetric"):
         SbmSpec((5, 5), (0.1, 0.1), ((0.1, 0.02), (0.03, 0.1)))
@@ -227,6 +249,59 @@ def test_generate_sbm_edge_density_tracks_probability():
         assert all((u < 60) == (v < 60) for u, v in g.edges)
     expected = 0.3 * 2 * (60 * 59 / 2)
     assert abs(np.mean(rng_counts) - expected) < 0.15 * expected
+
+
+def _grid_generate_sbm(spec, rng_seed, p=0.25):
+    """generate_sbm as it drew through index grids, frozen as the reference:
+    the same uniforms must give the same edges, in the same order."""
+    rng = np.random.default_rng(rng_seed)
+    sizes = spec.community_sizes
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    edges = []
+    k = len(sizes)
+    for c1 in range(k):
+        for c2 in range(c1, k):
+            q = spec.within_prob[c1] if c1 == c2 else spec.between_prob[c1][c2]
+            if c1 == c2:
+                ii, jj = np.triu_indices(sizes[c1], k=1)
+                ii = ii + offsets[c1]
+                jj = jj + offsets[c1]
+            else:
+                ii, jj = np.meshgrid(
+                    np.arange(sizes[c1]) + offsets[c1],
+                    np.arange(sizes[c2]) + offsets[c2],
+                    indexing="ij",
+                )
+                ii = ii.ravel()
+                jj = jj.ravel()
+            mask = rng.random(len(ii)) < q
+            edges.extend(zip(ii[mask].tolist(), jj[mask].tolist()))
+    g = Graph(n=int(offsets[-1]), edges=tuple(edges), directed=False, p=p)
+    part = CommunityPartition(labels=tuple(labels.tolist()))
+    return g, part
+
+
+@pytest.mark.parametrize("spec", [
+    *[pytest.param(SbmSpec((100,) * 3, (0.06, 0.03, q3), 0.005), id=f"sweep-q3={q3}")
+      for q3 in (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)],
+    pytest.param(SbmSpec((1000,) * 3, (0.006, 0.003, 0.003), 0.0005), id="select-large"),
+    pytest.param(SbmSpec((40,) * 3, (0.12, 0.06, 0.03), 0.01), id="directed"),
+    pytest.param(SbmSpec((1,), 0.5, 0.5), id="one-vertex"),
+    pytest.param(SbmSpec((3, 1, 4), 0.5, 0.5), id="a-community-of-one"),
+    pytest.param(SbmSpec((1, 2, 3), 1.0, 1.0), id="q=1"),
+    pytest.param(SbmSpec((5, 5), 0.0, 0.0), id="q=0"),
+    pytest.param(SbmSpec((372,) * 16, 0.01, 0.0005), id="16x372"),
+    pytest.param(SbmSpec((10, 20, 30), (0.3, 0.2, 0.1),
+                         ((0.3, 0.05, 0.01), (0.05, 0.2, 0.02), (0.01, 0.02, 0.1))),
+                 id="matrix"),
+])
+def test_generate_sbm_equals_the_grid_draw(spec):
+    for key in (0, 1, (7, 3, 0)):
+        g, part = generate_sbm(spec, key, p=0.3)
+        want_g, want_part = _grid_generate_sbm(spec, key, p=0.3)
+        assert g == want_g and g.edges == want_g.edges and part == want_part
+        assert np.array_equal(g.edge_array, want_g.edge_array)
 
 
 def test_induced_subgraph_remaps_ids():
@@ -275,9 +350,20 @@ def test_load_graph_names_the_first_malformed_edge_entry(entry):
     edges = [[u, v] for u in range(50) for v in range(u + 1, 50)][:1000]
     doc = {"n": 50, "directed": False, "p": 0.5, "communities": [0] * 50,
            "edges": [*edges, entry, [0, 2.5]]}
-    message = f"malformed edge entry {entry!r} (expected an integer pair)"
+    if len(entry) == 2:  # a pair is an edge, whose endpoints are checked
+        message = f"non-integer vertex id in edge ({entry[0]}, {entry[1]})"
+    else:
+        message = f"malformed edge entry {entry!r} (expected an integer pair)"
     with pytest.raises(GraphFormatError, match=re.escape(message)):
         load_graph(doc)
+
+
+def test_load_graph_names_the_first_fault_in_edge_order():
+    doc = {"n": 3, "directed": False, "p": 0.5, "communities": [0, 0, 1],
+           "edges": [[0, 1], [0, 5], [1, True], [2, 1, 0]]}
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(doc)
+    assert str(info.value) == "vertex id out of range in edge (0, 5)"
 
 
 def test_load_graph_reports_missing_fields(tmp_path):
@@ -289,7 +375,7 @@ def test_load_graph_reports_missing_fields(tmp_path):
 
 def test_load_graph_label_count_mismatch():
     doc = {"n": 3, "directed": False, "p": 0.1, "edges": [], "communities": [0, 0]}
-    with pytest.raises(GraphFormatError, match="without community label"):
+    with pytest.raises(GraphFormatError, match="^2 community labels for 3 vertices$"):
         load_graph(doc)
 
 
@@ -302,9 +388,9 @@ def test_load_graph_label_count_mismatch():
         ("p", True, "'p'"),
         ("n", True, "'n'"),
         ("edges", 5, "'edges'"),
-        ("edges", [[0, 1.7]], "edge entry"),
-        ("edges", [[True, 2]], "edge entry"),
-        ("edges", [["0", 1]], "edge entry"),
+        ("edges", [[0, 1.7]], "non-integer vertex id"),
+        ("edges", [[True, 2]], "non-integer vertex id"),
+        ("edges", [["0", 1]], "non-integer vertex id"),
         ("communities", 5, "'communities'"),
         ("communities", [0, 1.9, 0], "community label"),
         ("communities", [0, True, 0], "community label"),
