@@ -27,6 +27,7 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
@@ -34,18 +35,12 @@ from .graph import CommunityPartition, Graph, SeedSet
 # Bytes per temporary when sketches are drawn, labelled, propagated or summed in chunks.
 _CHUNK_BYTES = 1 << 20
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+# numpy's SeedSequence hash constants.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-# Most keep-mask rows drawn per block.  A block's states are held as
-# Python ints; an R-long list of them would pin heap pages during large
-# sketch builds.
-_SEED_CHUNK = 256
+_MASK32 = (1 << 32) - 1
 
 # Most coins the exact oracle enumerates: a reach table row then holds
 # 2**20 subset bits (128 KiB).
@@ -143,32 +138,35 @@ def _seed_states(key: list[int], count: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
 
 
+class _SketchSeed(ISeedSequence):
+    """PCG64's seed words for one sketch: its row of ``_seed_states``, a
+    C-contiguous uint64 array, since PCG64 reads the row's raw data."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a sketch seed holds only PCG64's four uint64 words")
+        return self.state
+
+
 def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     """(R, m) keep-masks; sketch i is keyed by (master_seed, i).
 
     Row i is ``np.random.default_rng((*key, i)).random(m) < p``, bit for
-    bit.  Instead of a Generator per sketch, the SeedSequence states of
-    all R sketches are hashed at once, and each is loaded into one reused
-    PCG64 as PCG's srandom_r would seed it.  A block of rows is drawn
-    into one buffer of about ``_CHUNK_BYTES``, at most ``_SEED_CHUNK``
-    rows, and thresholded by one comparison; the block's states become
-    Python ints only while it is drawn.
+    bit: the seed states of all R sketches are hashed at once, and each
+    seeds its own PCG64.  Rows are drawn in blocks of about ``_CHUNK_BYTES``
+    (at most R rows), and each block is thresholded by one comparison.
     """
     states = _seed_states(_key_words(master_seed), R)
     masks = np.empty((R, m), dtype=bool)
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
-    rows = max(1, min(_SEED_CHUNK, _CHUNK_BYTES // (8 * max(m, 1))))
-    draws = np.empty((rows, m))
-    for lo in range(0, R, rows):
-        block = states[lo : lo + rows].tolist()
-        for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(draws, block):
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            rng.random(out=row)
-        np.less(draws[: len(block)], p, out=masks[lo : lo + len(block)])
+    draws = np.empty((max(1, min(R, _CHUNK_BYTES // (8 * max(m, 1)))), m))
+    for lo in range(0, R, len(draws)):
+        block = draws[: R - lo]
+        for row, state in zip(block, states[lo:]):
+            np.random.Generator(np.random.PCG64(_SketchSeed(state))).random(out=row)
+        np.less(block, p, out=masks[lo : lo + len(block)])
     return masks
 
 

@@ -17,9 +17,9 @@ from .cascade import UtilityVector, exact_utilities
 from .errors import GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
 from .welfare import (
-    WelfareParams,
     check_gap_reduction,
     check_monotonicity_preference,
+    default_params,
     dp_satisfied,
     leximin_compare,
     total_influence,
@@ -354,7 +354,7 @@ def _check_gap_reduction_conflict(fx, utils):
     if not (verdict.applicable and verdict.preferred == "first"):
         failures.append("gap reduction does not prefer the smaller-gap solution")
     for alpha in GAP_CONFLICT_ALPHAS:
-        params = WelfareParams(alpha=alpha, epsilon=1.0 / (2 * fx.graph.n))
+        params = default_params(alpha, fx.graph.n)
         diff = welfare(u, params) - welfare(v, params)
         if not diff < 0:
             failures.append(f"welfare at alpha={alpha} does not prefer the larger gap")

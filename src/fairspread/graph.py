@@ -58,10 +58,6 @@ class Graph:
         object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))
         object.__setattr__(self, "edge_array", ends)
 
-    @property
-    def num_arcs(self) -> int:
-        return len(self.edges) * (1 if self.directed else 2)
-
     def out_neighbors(self) -> list[list[int]]:
         """Adjacency lists in spread direction (both ways if undirected)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -208,7 +204,7 @@ class SeedSet:
 class SbmSpec:
     """Stochastic block model parameters.
 
-    ``community_sizes`` must be a list of integers, ``within_prob`` a
+    ``community_sizes`` must be a non-empty list of integers, ``within_prob`` a
     number or a list of numbers and ``between_prob`` a number (shared by
     all community pairs) or a full symmetric matrix of numbers; bools
     are not numbers.  ``between_prob`` is stored as a matrix whose
@@ -223,6 +219,8 @@ class SbmSpec:
         sizes, within, between = self.community_sizes, self.within_prob, self.between_prob
         if not _is_list_of(sizes, _is_int):
             raise GraphFormatError("'community_sizes' must be a list of integers")
+        if not sizes:
+            raise GraphFormatError("'community_sizes' must list at least one community")
         if not (_is_number(within) or _is_list_of(within, _is_number)):
             raise GraphFormatError("'within_prob' must be a number or a list of numbers")
         matrix = _is_list_of(between, lambda row: _is_list_of(row, _is_number))

@@ -84,7 +84,7 @@ def _default_rng_masks(g, R, key):
 )
 def test_sketch_masks_match_default_rng(key):
     g, _ = generate_sbm(SbmSpec((10, 10), (0.3, 0.3), 0.1), rng_seed=2)
-    R = cascade._SEED_CHUNK + 2  # across a chunk boundary
+    R = cascade._CHUNK_BYTES // (8 * len(g.edges)) + 2  # across a block boundary
     assert np.array_equal(sample_sketches(g, R, key).edge_masks, _default_rng_masks(g, R, key))
     arcs = g.edges + tuple((v, u) for u, v in g.edges[::3])
     for h in (Graph(n=4, edges=(), p=0.5), Graph(n=g.n, edges=g.edges, p=0.0),
@@ -94,11 +94,11 @@ def test_sketch_masks_match_default_rng(key):
 
 @pytest.mark.parametrize("m", [40, 6000])
 def test_sketch_masks_match_default_rng_across_blocks(m):
-    # Rows are drawn and thresholded in blocks of at most _SEED_CHUNK rows
-    # and about _CHUNK_BYTES of draws: 256 rows at m = 40, 21 at m = 6000.
-    # R is a multiple of neither, so both leave a partial last block.
-    R = 2 * cascade._SEED_CHUNK + 3
-    assert R % 21 and R % cascade._SEED_CHUNK
+    # Rows are drawn and thresholded in blocks of about _CHUNK_BYTES of
+    # draws: 3,276 rows at m = 40, 21 at m = 6000.  R crosses two block
+    # boundaries and leaves a partial last block.
+    rows = cascade._CHUNK_BYTES // (8 * m)
+    R = 2 * rows + 3
     key = (5, 2**33)
     want = np.array([np.random.default_rng((*key, i)).random(m) < 0.3 for i in range(R)])
     assert np.array_equal(cascade._sketch_masks(m, 0.3, R, key), want)

@@ -305,12 +305,13 @@ def test_coerced_graph_field_exit_code(tmp_path, capsys):
 
 def test_malformed_sbm_spec_exit_code(tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(
-        {"community_sizes": [3.7, 4], "within_prob": 0.5, "between_prob": 0.1}
-    ))
-    rc = main(["gen-sbm", "--spec", str(path), "--seed", "0"])
-    assert rc == 3
-    assert "community_sizes" in capsys.readouterr().err
+    for sizes in ([3.7, 4], []):
+        path.write_text(json.dumps(
+            {"community_sizes": sizes, "within_prob": 0.5, "between_prob": 0.1}
+        ))
+        rc = main(["gen-sbm", "--spec", str(path), "--seed", "0"])
+        assert rc == 3
+        assert "'community_sizes'" in capsys.readouterr().err
 
 
 _SWEEP_CONFIG = {
@@ -376,6 +377,9 @@ _SWEEP_GRAPH = {"n": 7, "directed": False, "p": 0.4,
         # A misspelt field is refused, not left at its default.
         ({"replication": 1}, "unknown sweep config field 'replication'"),
         ({"partition": [0] * 16}, "unknown sweep config field 'partition'"),
+        # An SBM needs at least one community.
+        ({"sbm": {"community_sizes": [], "within_prob": 0.2, "between_prob": 0.05}},
+         "'community_sizes' must list at least one community"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):

@@ -25,7 +25,7 @@ from fairspread.graph import (
 
 def test_graph_basic_properties():
     g = Graph(n=4, edges=((0, 1), (1, 2)), directed=False, p=0.5)
-    assert g.num_arcs == 4
+    assert g.edges == ((0, 1), (1, 2))
     assert g.out_neighbors() == [[1], [0, 2], [1], []]
     assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
     assert g.edge_array.tolist() == [[0, 1], [1, 2]]
@@ -125,7 +125,7 @@ def test_graph_rejects_self_loop_and_duplicates():
         Graph(n=3, edges=((0, 1), (1, 0)))  # same undirected edge
     # ... but opposite arcs are distinct in a directed graph
     g = Graph(n=3, edges=((0, 1), (1, 0)), directed=True)
-    assert g.num_arcs == 2
+    assert g.edges == ((0, 1), (1, 0))
 
 
 def test_graph_rejects_bad_probability():
@@ -150,6 +150,8 @@ def _config(**change):
                  id="seed-budget-bool"),
     pytest.param(lambda: SbmSpec((3.7, 4), 0.5, 0.1),
                  "'community_sizes' must be a list of integers", id="sizes-float"),
+    pytest.param(lambda: SbmSpec((), (), 0.1),
+                 "'community_sizes' must list at least one community", id="sizes-empty"),
     pytest.param(lambda: SbmSpec((3, 4), True, 0.1),
                  "'within_prob' must be a number or a list of numbers", id="within-bool"),
     pytest.param(lambda: SbmSpec((3, 4), "0.5", 0.1),
@@ -427,6 +429,7 @@ def test_load_sbm_spec(tmp_path):
         ("between_prob", "0.1", "'between_prob'"),
         ("between_prob", [0.1, 0.1], "'between_prob'"),
         ("between_prob", [[0.2, 0.1], [0.1, False]], "'between_prob'"),
+        ("community_sizes", [], "'community_sizes' must list at least one community"),
     ],
 )
 def test_load_sbm_spec_rejects_coerced_values(field, value, message):
