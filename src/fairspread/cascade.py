@@ -27,7 +27,6 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EnumerationLimitError, GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
@@ -138,9 +137,11 @@ def _seed_states(key: list[int], count: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
 
 
-class _SketchSeed(ISeedSequence):
+class _SketchSeed:
     """PCG64's seed words for one sketch: its row of ``_seed_states``, a
-    C-contiguous uint64 array, since PCG64 reads the row's raw data."""
+    C-contiguous uint64 array, since PCG64 reads the row's raw data.  It
+    is registered as numpy's ``ISeedSequence`` on first use, so importing
+    this module does not load ``numpy.random``."""
 
     def __init__(self, state: np.ndarray):
         self.state = state
@@ -159,6 +160,7 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     seeds its own PCG64.  Rows are drawn in blocks of about ``_CHUNK_BYTES``
     (at most R rows), and each block is thresholded by one comparison.
     """
+    np.random.bit_generator.ISeedSequence.register(_SketchSeed)
     states = _seed_states(_key_words(master_seed), R)
     masks = np.empty((R, m), dtype=bool)
     draws = np.empty((max(1, min(R, _CHUNK_BYTES // (8 * max(m, 1)))), m))

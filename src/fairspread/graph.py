@@ -204,11 +204,12 @@ class SeedSet:
 class SbmSpec:
     """Stochastic block model parameters.
 
-    ``community_sizes`` must be a non-empty list of integers, ``within_prob`` a
-    number or a list of numbers and ``between_prob`` a number (shared by
-    all community pairs) or a full symmetric matrix of numbers; bools
-    are not numbers.  ``between_prob`` is stored as a matrix whose
-    diagonal is ``within_prob``: a given matrix's diagonal is replaced.
+    ``community_sizes`` must be a non-empty list of integers,
+    ``within_prob`` a number or a list of numbers and ``between_prob`` a
+    number (shared by all community pairs) or a full symmetric matrix of
+    numbers; bools are not numbers.  ``between_prob`` is stored as a
+    matrix whose diagonal is ``within_prob``: a given matrix's diagonal
+    is replaced.
     """
 
     community_sizes: tuple[int, ...]

@@ -104,6 +104,14 @@ def test_sketch_masks_match_default_rng_across_blocks(m):
     assert np.array_equal(cascade._sketch_masks(m, 0.3, R, key), want)
 
 
+def test_sketch_seed_serves_only_pcg64():
+    seed = cascade._SketchSeed(cascade._seed_states([1], 1)[0])
+    assert seed.generate_state(4, np.uint64) is seed.state
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64)):
+        with pytest.raises(ValueError, match="four uint64 words"):
+            seed.generate_state(n_words, dtype)
+
+
 def test_dispatch_by_directedness():
     gu = Graph(n=3, edges=((0, 1),), directed=False, p=0.5)
     gd = Graph(n=3, edges=((0, 1),), directed=True, p=0.5)

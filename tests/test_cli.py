@@ -579,7 +579,8 @@ def test_help_available_per_subcommand(capsys):
 
 
 # Runs each command in turn in one fresh interpreter and names the first
-# after which scipy.sparse is loaded.
+# after which scipy.sparse is loaded.  Importing the CLI loads no
+# numpy.random either: only drawing a graph or sketches needs it.
 _SCIPY_GUARD = """
 import sys
 
@@ -590,6 +591,8 @@ def check(step):
 import fairspread
 check("import fairspread")
 from fairspread.cli import main
+if "numpy.random" in sys.modules:
+    sys.exit("numpy.random loaded by import fairspread.cli")
 graph, spec, out, directed = sys.argv[1:]
 for argv in (["gen-sbm", "--spec", spec, "--seed", "3", "--out", out],
              ["exact", "--graph", graph, "0", "4"],
