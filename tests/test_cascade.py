@@ -105,11 +105,55 @@ def test_sketch_masks_match_default_rng_across_blocks(m):
 
 
 def test_sketch_seed_serves_only_pcg64():
+    # np.uint64 itself, which PCG64 passes, skips the np.dtype call; the
+    # dtype and its name go through it.
     seed = cascade._SketchSeed(cascade._seed_states([1], 1)[0])
-    assert seed.generate_state(4, np.uint64) is seed.state
-    for n_words, dtype in ((4, np.uint32), (8, np.uint64)):
+    for dtype in (np.uint64, np.dtype("uint64"), "uint64"):
+        assert seed.generate_state(4, dtype) is seed.state
+    for n_words, dtype in ((4, np.uint32), (4, "u4"), (8, np.uint64)):
         with pytest.raises(ValueError, match="four uint64 words"):
             seed.generate_state(n_words, dtype)
+
+
+def test_sketch_masks_draw_nothing_when_no_edge_is_a_coin(monkeypatch):
+    # With no edges, or p in {0, 1}, every mask is p == 1 and no sketch
+    # seeds a generator; at p = 0.5 each of the R sketches seeds one.
+    made = []
+
+    class CountedSeed(cascade._SketchSeed):
+        def __init__(self, state):
+            made.append(1)
+            super().__init__(state)
+
+    monkeypatch.setattr(cascade, "_SketchSeed", CountedSeed)
+    g, _ = generate_sbm(SbmSpec((10, 10), (0.3, 0.3), 0.1), rng_seed=2)
+    R, key = 50, (3, 2**33)
+    for h in (Graph(n=4, edges=(), p=0.5), Graph(n=g.n, edges=g.edges, p=0.0),
+              Graph(n=g.n, edges=g.edges, p=1.0)):
+        masks = sample_sketches(h, R, key).edge_masks
+        assert masks.shape == (R, len(h.edges)) and masks.dtype == bool
+        assert np.array_equal(masks, _default_rng_masks(h, R, key))
+    assert not made
+    sample_sketches(Graph(n=g.n, edges=g.edges, p=0.5), R, key)
+    assert len(made) == R
+
+
+def _packbits_worlds(bits):
+    """The reference packing: np.packbits along the rows of bits.T,
+    zero-padded to whole uint64 words."""
+    worlds, rows = bits.shape
+    packed = np.zeros((rows, 8 * -(-worlds // 64)), dtype=np.uint8)
+    packed[:, : -(-worlds // 8)] = np.packbits(bits.T, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+@pytest.mark.parametrize("worlds", [1, 7, 8, 9, 63, 64, 65, 200])
+@pytest.mark.parametrize("rows", [0, 1, 3, 271])
+def test_pack_worlds_matches_packbits(worlds, rows):
+    bits = np.random.default_rng(worlds * 1000 + rows).random((worlds, rows)) < 0.4
+    packed = cascade._pack_worlds(bits)
+    assert packed.dtype == np.uint64 and packed.shape == (rows, -(-worlds // 64))
+    assert np.array_equal(packed, _packbits_worlds(bits))
 
 
 def test_dispatch_by_directedness():
@@ -561,6 +605,22 @@ def test_arc_bits_reach_matches_per_sketch_search(monkeypatch):
                 for v in start:
                     want[i, list(reach[v]), r] = 1
         assert np.array_equal(reached[:, :, :R], want)
+
+
+def test_arc_bits_words_match_packbits_construction():
+    # The keep and full words of both kinds of set, and of an edgeless
+    # graph, equal an _ArcBits built from np.packbits words.
+    g, dg, _ = _uncovered_instance()
+    for graph in (g, dg, Graph(n=4, edges=(), p=0.5)):
+        for R in (1, 65, 200):
+            sk = sample_sketches(graph, R, 8)
+            full = np.packbits(np.arange(64 * -(-R // 64)) < R, bitorder="little").view(np.uint64)
+            want = cascade._ArcBits(graph.n, graph.edge_array, _packbits_worlds(sk.edge_masks),
+                                    full, graph.directed)
+            bits = sk.arc_bits
+            assert bits.keep.dtype == bits.full.dtype == np.uint64
+            assert np.array_equal(bits.keep, want.keep)
+            assert np.array_equal(bits.full, want.full)
 
 
 def _community_counts(vertex_sets, part):
