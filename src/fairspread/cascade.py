@@ -230,26 +230,26 @@ def _pack_worlds(bits: np.ndarray) -> np.ndarray:
     are 0.
 
     ``np.packbits`` along the strided worlds axis costs about 4 ns a bit.
-    Here the booleans are read as uint8, each group of eight worlds is
-    folded into one byte per row by seven in-place shift-ORs of
-    contiguous rows, the leftover worlds are ORed into the last byte,
-    and the (bytes, rows) result is transposed once into the zeroed
-    rows.  No padded copy of ``bits`` is made.
+    Here the booleans are read as uint8 and each group of eight worlds
+    is folded into one byte per row, highest world first, by seven
+    in-place shift-ORs of contiguous rows; the leftover worlds are
+    folded into the last byte the same way, and the (bytes, rows)
+    result is transposed once into the zeroed rows.  No copy of
+    ``bits`` and no shifted temporary is made.
     """
     worlds, rows = bits.shape
     whole = worlds // 8
     flat = bits.view(np.uint8)
     groups = flat[: 8 * whole].reshape(whole, 8, rows)
-    packed = np.empty((-(-worlds // 8), rows), dtype=np.uint8)
-    packed[:whole] = groups[:, 0]
-    shifted = np.empty((whole, rows), dtype=np.uint8)
-    for b in range(1, 8):
-        np.left_shift(groups[:, b], b, out=shifted)
-        packed[:whole] |= shifted
-    if whole < len(packed):
-        packed[whole] = 0
-        for b, row in enumerate(flat[8 * whole :]):
-            packed[whole] |= row << b
+    packed = np.zeros((-(-worlds // 8), rows), dtype=np.uint8)
+    head = packed[:whole]
+    head |= groups[:, 7]
+    for b in range(6, -1, -1):
+        head <<= 1
+        head |= groups[:, b]
+    for row in flat[8 * whole :][::-1]:
+        packed[whole] <<= 1
+        packed[whole] |= row
     out = np.zeros((rows, 8 * -(-worlds // 64)), dtype=np.uint8)
     out[:, : len(packed)] = packed.T
     return out.view(np.uint64)
