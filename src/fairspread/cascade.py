@@ -143,14 +143,11 @@ class _SketchSeed:
     is registered as numpy's ``ISeedSequence`` on first use, so importing
     this module does not load ``numpy.random``."""
 
-    __slots__ = ("state",)
-
     def __init__(self, state: np.ndarray):
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 passes np.uint64 itself, which needs no np.dtype call.
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError("a sketch seed holds only PCG64's four uint64 words")
         return self.state
 
@@ -162,11 +159,7 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     bit: the seed states of all R sketches are hashed at once, and each
     seeds its own PCG64.  Rows are drawn in blocks of about ``_CHUNK_BYTES``
     (at most R rows), and each block is thresholded by one comparison.
-    When no edge is a coin (m = 0, or p is 0 or 1) nothing is drawn:
-    ``random()`` lies in [0, 1), so every row is ``p == 1``.
     """
-    if m == 0 or p in (0, 1):
-        return np.full((R, m), p == 1)
     np.random.bit_generator.ISeedSequence.register(_SketchSeed)
     states = _seed_states(_key_words(master_seed), R)
     masks = np.empty((R, m), dtype=bool)
@@ -230,26 +223,20 @@ def _pack_worlds(bits: np.ndarray) -> np.ndarray:
     are 0.
 
     ``np.packbits`` along the strided worlds axis costs about 4 ns a bit.
-    Here the booleans are read as uint8 and each group of eight worlds
-    is folded into one byte per row, highest world first, by seven
-    in-place shift-ORs of contiguous rows; the leftover worlds are
-    folded into the last byte the same way, and the (bytes, rows)
-    result is transposed once into the zeroed rows.  No copy of
-    ``bits`` and no shifted temporary is made.
+    Here the booleans are read as uint8, and lane b (worlds b, b + 8,
+    ...) is folded into the packed bytes, highest lane first, by one
+    in-place shift and OR of contiguous rows; a lane that stops short of
+    the last byte leaves its bit there 0.  The (bytes, rows) result is
+    transposed once into the zeroed rows.  No copy of ``bits`` and no
+    shifted temporary is made.
     """
     worlds, rows = bits.shape
-    whole = worlds // 8
     flat = bits.view(np.uint8)
-    groups = flat[: 8 * whole].reshape(whole, 8, rows)
     packed = np.zeros((-(-worlds // 8), rows), dtype=np.uint8)
-    head = packed[:whole]
-    head |= groups[:, 7]
-    for b in range(6, -1, -1):
-        head <<= 1
-        head |= groups[:, b]
-    for row in flat[8 * whole :][::-1]:
-        packed[whole] <<= 1
-        packed[whole] |= row
+    for b in range(7, -1, -1):
+        packed <<= 1
+        lane = flat[b::8]
+        packed[: len(lane)] |= lane
     out = np.zeros((rows, 8 * -(-worlds // 64)), dtype=np.uint8)
     out[:, : len(packed)] = packed.T
     return out.view(np.uint64)
