@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
@@ -137,19 +137,28 @@ def _seed_states(key: list[int], count: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
 
 
-class _SketchSeed:
-    """PCG64's seed words for one sketch: its row of ``_seed_states``, a
-    C-contiguous uint64 array, since PCG64 reads the row's raw data.  It
-    is registered as numpy's ``ISeedSequence`` on first use, so importing
-    this module does not load ``numpy.random``."""
+@cache
+def _sketch_seed_type():
+    """The class that hands PCG64 one sketch's seed words: its row of
+    ``_seed_states``, a C-contiguous uint64 array, since PCG64 reads the
+    row's raw data.  It subclasses numpy's ``ISeedSequence``, so it is
+    made on the first draw: subclassing at import would load
+    ``numpy.random`` on every import of this module."""
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
+    class SketchSeed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a sketch seed holds only PCG64's four uint64 words")
-        return self.state
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 passes the np.uint64 type itself: the identity test
+            # skips building a dtype on every sketch.
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError("a sketch seed holds only PCG64's four uint64 words")
+            return self.state
+
+    return SketchSeed
 
 
 def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
@@ -160,14 +169,14 @@ def _sketch_masks(m: int, p: float, R: int, master_seed) -> np.ndarray:
     seeds its own PCG64.  Rows are drawn in blocks of about ``_CHUNK_BYTES``
     (at most R rows), and each block is thresholded by one comparison.
     """
-    np.random.bit_generator.ISeedSequence.register(_SketchSeed)
+    seed_type, generator, pcg64 = _sketch_seed_type(), np.random.Generator, np.random.PCG64
     states = _seed_states(_key_words(master_seed), R)
     masks = np.empty((R, m), dtype=bool)
     draws = np.empty((max(1, min(R, _CHUNK_BYTES // (8 * max(m, 1)))), m))
     for lo in range(0, R, len(draws)):
         block = draws[: R - lo]
         for row, state in zip(block, states[lo:]):
-            np.random.Generator(np.random.PCG64(_SketchSeed(state))).random(out=row)
+            generator(pcg64(seed_type(state))).random(out=row)
         np.less(block, p, out=masks[lo : lo + len(block)])
     return masks
 

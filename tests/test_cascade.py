@@ -105,9 +105,13 @@ def test_sketch_masks_match_default_rng_across_blocks(m):
 
 
 def test_sketch_seed_serves_only_pcg64():
-    seed = cascade._SketchSeed(cascade._seed_states([1], 1)[0])
-    assert seed.generate_state(4, np.uint64) is seed.state
-    for n_words, dtype in ((4, np.uint32), (8, np.uint64)):
+    # The factory builds the type, so no earlier draw is needed.
+    seed_type = cascade._sketch_seed_type()
+    assert issubclass(seed_type, np.random.bit_generator.ISeedSequence)
+    seed = seed_type(cascade._seed_states([1], 1)[0])
+    for dtype in (np.uint64, np.dtype("uint64"), "uint64"):
+        assert seed.generate_state(4, dtype) is seed.state
+    for n_words, dtype in ((4, np.uint32), (4, "u4"), (8, np.uint64)):
         with pytest.raises(ValueError, match="four uint64 words"):
             seed.generate_state(n_words, dtype)
 
