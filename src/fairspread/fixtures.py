@@ -1,9 +1,10 @@
 """Hand-constructed counterexample instances with exact reference values.
 
 Each fixture is a small graph, a community partition and a few named
-seed sets that together witness a failure mode of a fairness notion
-(e.g. a parity constraint preferring a Pareto-dominated outcome).  Each
-instance is built by its ``build_*`` function; ``verify_fixture``
+seed sets, each with its exact utilities, that together witness a
+failure mode of a fairness notion (e.g. a parity constraint preferring
+a Pareto-dominated outcome).  Each instance is declared by its
+``build_*`` function in one ``_fixture`` call; ``verify_fixture``
 recomputes every utility with the exact oracle and checks the witnessed
 property.
 """
@@ -36,6 +37,25 @@ class Fixture:
     seed_sets: dict[str, SeedSet]
     params: dict
     description: str
+    expected: dict[str, tuple[Fraction, ...]]
+
+
+def _fixture(name, description, sizes, edges, p, seed_sets, directed=False, **params):
+    """A fixture over consecutive communities of the given sizes.
+
+    ``seed_sets`` maps each name to (vertices, exact utilities); every
+    seed set has the budget ``params["k"]``.
+    """
+    labels = tuple(c for c, size in enumerate(sizes) for _ in range(size))
+    return Fixture(
+        name=name,
+        graph=Graph(n=len(labels), edges=tuple(edges), directed=directed, p=p),
+        partition=CommunityPartition(labels=labels),
+        seed_sets={s: SeedSet(frozenset(v), params["k"]) for s, (v, _) in seed_sets.items()},
+        params=params,
+        description=description,
+        expected={s: tuple(utils) for s, (_, utils) in seed_sets.items()},
+    )
 
 
 def _star(center: int, periphery) -> list[tuple[int, int]]:
@@ -61,24 +81,16 @@ def build_gap_reduction_conflict() -> Fixture:
     # diamond periphery), 14 isolated
     edges += _star(200, range(201, 280))
     edges += _star(280, list(range(281, 286)) + list(range(30, 34)))
-    labels = (0,) * 100 + (1,) * 100 + (2,) * 100
-    g = Graph(n=300, edges=tuple(edges), directed=False, p=1.0)
-    part = CommunityPartition(labels=labels)
-    k = 4
-    seed_sets = {
-        "small_gap": SeedSet(frozenset({0, 100, 160, 200}), k),
-        "large_gap": SeedSet(frozenset({0, 100, 200, 280}), k),
-    }
-    return Fixture(
-        name="gap_reduction_conflict",
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params={"k": k},
-        description=(
-            "Equal-total seed sets with utility gaps 0.50 and 0.52 where "
-            "isoelastic welfare prefers the larger gap."
-        ),
+    return _fixture(
+        "gap_reduction_conflict",
+        "Equal-total seed sets with utility gaps 0.50 and 0.52 where "
+        "isoelastic welfare prefers the larger gap.",
+        (100, 100, 100), edges, 1.0,
+        {
+            "small_gap": ({0, 100, 160, 200}, (Fraction(3, 10), Fraction(7, 10), Fraction(4, 5))),
+            "large_gap": ({0, 100, 200, 280}, (Fraction(17, 50), Fraction(3, 5), Fraction(43, 50))),
+        },
+        k=4,
     )
 
 
@@ -91,25 +103,16 @@ def build_proportional_constraint_conflict() -> Fixture:
     center plus three whites; proportional budgets force 3 black seeds
     and 1 white.
     """
-    edges = tuple(_star(0, range(1, 21)))
-    labels = (0,) * 21 + (1,) * 7
-    g = Graph(n=28, edges=edges, directed=False, p=0.5)
-    part = CommunityPartition(labels=labels)
-    k = 4
-    seed_sets = {
-        "unconstrained": SeedSet(frozenset({0, 21, 22, 23}), k),
-        "proportional": SeedSet(frozenset({0, 1, 2, 21}), k),
-    }
-    return Fixture(
-        name="proportional_constraint_conflict",
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params={"k": k},
-        description=(
-            "Proportional-budget constraints prefer a solution with lower "
-            "total spread and a larger utility gap."
-        ),
+    return _fixture(
+        "proportional_constraint_conflict",
+        "Proportional-budget constraints prefer a solution with lower "
+        "total spread and a larger utility gap.",
+        (21, 7), _star(0, range(1, 21)), 0.5,
+        {
+            "unconstrained": ({0, 21, 22, 23}, (Fraction(11, 21), Fraction(3, 7))),
+            "proportional": ({0, 1, 2, 21}, (Fraction(4, 7), Fraction(1, 7))),
+        },
+        k=4,
     )
 
 
@@ -124,7 +127,8 @@ def build_parity_nonmonotonic_directed(
     n_comm > max(3p/(p - delta), 1/(delta - p^2)); the packaged default
     (10, 0.35, 0.235) keeps the instance within the exact oracle's coin
     limit.  The dominant solution violates the gap threshold while a
-    degraded one satisfies it.
+    degraded one satisfies it.  The expected utilities are the
+    construction's closed form at the decimal ``p`` the oracle reads.
     """
     if not (delta < p < delta**0.5):
         raise GraphFormatError("requires delta < p < sqrt(delta)")
@@ -135,24 +139,17 @@ def build_parity_nonmonotonic_directed(
         arcs += [(0, v), (v, 0)]  # undirected star edges as arc pairs
     # one-way spill into the square community
     arcs += [(0, n_comm), (0, n_comm + 1)]
-    labels = (0,) * n_comm + (1,) * n_comm
-    g = Graph(n=2 * n_comm, edges=tuple(arcs), directed=True, p=p)
-    part = CommunityPartition(labels=labels)
-    k = 2
-    seed_sets = {
-        "dominant": SeedSet(frozenset({0, n_comm + 2}), k),
-        "parity": SeedSet(frozenset({1, n_comm + 2}), k),
-    }
-    return Fixture(
-        name="parity_nonmonotonic_directed",
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params={"k": k, "delta": delta},
-    description=(
-            "Approximate demographic parity admits only a solution whose "
-            "utilities are element-wise worse."
-        ),
+    n, q = n_comm, Fraction(str(p))
+    return _fixture(
+        "parity_nonmonotonic_directed",
+        "Approximate demographic parity admits only a solution whose "
+        "utilities are element-wise worse.",
+        (n, n), arcs, p,
+        {
+            "dominant": ({0, n + 2}, ((1 + (n - 1) * q) / n, (1 + 2 * q) / n)),
+            "parity": ({1, n + 2}, ((1 + q + (n - 2) * q * q) / n, (1 + 2 * q * q) / n)),
+        },
+        directed=True, k=2, delta=delta,
     )
 
 
@@ -170,26 +167,18 @@ def build_parity_context_dependence() -> Fixture:
     # square 18..35: stars of 2 (center 18) and 5 (center 20), 11 isolated
     edges += _star(18, (19,))
     edges += _star(20, range(21, 25))
-    labels = (0,) * 18 + (1,) * 18
-    g = Graph(n=36, edges=tuple(edges), directed=False, p=1.0)
-    part = CommunityPartition(labels=labels)
-    k = 2
-    seed_sets = {
-        "small_small": SeedSet(frozenset({0, 18}), k),
-        "large_small": SeedSet(frozenset({3, 18}), k),
-        "small_large": SeedSet(frozenset({0, 20}), k),
-        "large_large": SeedSet(frozenset({3, 20}), k),
-    }
-    return Fixture(
-        name="parity_context_dependence",
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params={"k": k, "delta": Fraction(1, 9)},
-        description=(
-            "Changing only one community's utility flips which value of "
-            "the other community parity prefers."
-        ),
+    return _fixture(
+        "parity_context_dependence",
+        "Changing only one community's utility flips which value of "
+        "the other community parity prefers.",
+        (18, 18), edges, 1.0,
+        {
+            "small_small": ({0, 18}, (Fraction(3, 18), Fraction(2, 18))),
+            "large_small": ({3, 18}, (Fraction(5, 18), Fraction(2, 18))),
+            "small_large": ({0, 20}, (Fraction(3, 18), Fraction(5, 18))),
+            "large_large": ({3, 20}, (Fraction(5, 18), Fraction(5, 18))),
+        },
+        k=2, delta=Fraction(1, 9),
     )
 
 
@@ -203,24 +192,16 @@ def build_exact_parity_dominated() -> Fixture:
     edges: list[tuple[int, int]] = []
     edges += _star(0, range(1, 10))  # circle star
     edges += _star(10, range(11, 16))  # square star of 6; 16..19 isolated
-    labels = (0,) * 10 + (1,) * 10
-    g = Graph(n=20, edges=tuple(edges), directed=False, p=0.5)
-    part = CommunityPartition(labels=labels)
-    k = 2
-    seed_sets = {
-        "parity": SeedSet(frozenset({1, 10}), k),
-        "dominant": SeedSet(frozenset({0, 10}), k),
-    }
-    return Fixture(
-        name="exact_parity_dominated",
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params={"k": k, "delta": 0.0},
-        description=(
-            "Exact demographic parity rejects a solution that raises one "
-            "community's utility at no cost to the other."
-        ),
+    return _fixture(
+        "exact_parity_dominated",
+        "Exact demographic parity rejects a solution that raises one "
+        "community's utility at no cost to the other.",
+        (10, 10), edges, 0.5,
+        {
+            "parity": ({1, 10}, (Fraction(7, 20), Fraction(7, 20))),
+            "dominant": ({0, 10}, (Fraction(11, 20), Fraction(7, 20))),
+        },
+        k=2, delta=0.0,
     )
 
 
@@ -237,81 +218,27 @@ def build_maximin_gap_increase() -> Fixture:
     # small star: white center 22, periphery blue 5..10 and black 15
     edges += _star(22, list(range(5, 11)) + [15])
     # black isolated 16..21; white isolated 23..49
-    labels = (0,) * 11 + (1,) * 11 + (2,) * 28
-    g = Graph(n=50, edges=tuple(edges), directed=False, p=0.8)
-    part = CommunityPartition(labels=labels)
-    k = 1
-    seed_sets = {
-        "big_star": SeedSet(frozenset({0}), k),
-        "small_star": SeedSet(frozenset({22}), k),
-    }
-    return Fixture(
-        name="maximin_gap_increase",
-        graph=g,
-        partition=part,
-        seed_sets=seed_sets,
-        params={"k": k},
-        description=(
-            "Maximin/leximin strictly prefer the solution with lower total "
-            "spread and a larger utility gap."
-        ),
+    return _fixture(
+        "maximin_gap_increase",
+        "Maximin/leximin strictly prefer the solution with lower total "
+        "spread and a larger utility gap.",
+        (11, 11, 28), edges, 0.8,
+        {
+            "big_star": ({0}, (Fraction(21, 55), Fraction(16, 55), Fraction(0))),
+            "small_star": ({22}, (Fraction(24, 55), Fraction(4, 55), Fraction(1, 28))),
+        },
+        k=1,
     )
-
-
-FIXTURE_BUILDERS = {
-    "gap_reduction_conflict": build_gap_reduction_conflict,
-    "proportional_constraint_conflict": build_proportional_constraint_conflict,
-    "parity_nonmonotonic_directed": build_parity_nonmonotonic_directed,
-    "parity_context_dependence": build_parity_context_dependence,
-    "exact_parity_dominated": build_exact_parity_dominated,
-    "maximin_gap_increase": build_maximin_gap_increase,
-}
-
-FIXTURE_NAMES = tuple(FIXTURE_BUILDERS)
 
 
 def load_fixture(name: str) -> Fixture:
     """Build a bundled fixture by name."""
-    if name not in FIXTURE_BUILDERS:
+    if name not in _FIXTURES:
         raise GraphFormatError(f"unknown fixture '{name}'")
-    return FIXTURE_BUILDERS[name]()
+    return _FIXTURES[name][0]()
 
 
 # --- verification -----------------------------------------------------------
-
-
-def _frac(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
-
-
-EXPECTED_UTILITIES: dict[str, dict[str, tuple[Fraction, ...]]] = {
-    "gap_reduction_conflict": {
-        "small_gap": (_frac(3, 10), _frac(7, 10), _frac(4, 5)),
-        "large_gap": (_frac(17, 50), _frac(3, 5), _frac(43, 50)),
-    },
-    "proportional_constraint_conflict": {
-        "unconstrained": (_frac(11, 21), _frac(3, 7)),
-        "proportional": (_frac(4, 7), _frac(1, 7)),
-    },
-    "parity_nonmonotonic_directed": {
-        "dominant": (_frac(83, 200), _frac(17, 100)),
-        "parity": (_frac(233, 1000), _frac(249, 2000)),
-    },
-    "parity_context_dependence": {
-        "small_small": (_frac(3, 18), _frac(2, 18)),
-        "large_small": (_frac(5, 18), _frac(2, 18)),
-        "small_large": (_frac(3, 18), _frac(5, 18)),
-        "large_large": (_frac(5, 18), _frac(5, 18)),
-    },
-    "exact_parity_dominated": {
-        "parity": (_frac(7, 20), _frac(7, 20)),
-        "dominant": (_frac(11, 20), _frac(7, 20)),
-    },
-    "maximin_gap_increase": {
-        "big_star": (_frac(21, 55), _frac(16, 55), _frac(0, 1)),
-        "small_star": (_frac(24, 55), _frac(4, 55), _frac(1, 28)),
-    },
-}
 
 # Alpha values over which the gap-reduction conflict must hold.
 GAP_CONFLICT_ALPHAS = (-5.0, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 0.9)
@@ -329,18 +256,17 @@ def verify_fixture(name: str, fx: Fixture | None = None) -> list[str]:
     fx = fx or load_fixture(name)
     failures: list[str] = []
     utils = fixture_exact_utilities(fx)
-    for sname, expected in EXPECTED_UTILITIES[name].items():
+    for sname, expected in fx.expected.items():
         got = utils[sname].values
         if tuple(got) != expected:
             failures.append(f"{name}/{sname}: utilities {got} != expected {expected}")
-    check = _PROPERTY_CHECKS[name]
-    failures.extend(check(fx, utils))
+    failures.extend(_FIXTURES[name][1](fx, utils))
     return failures
 
 
 def verify_all() -> dict[str, list[str]]:
     """Verify every fixture; maps fixture name to failure messages."""
-    return {name: verify_fixture(name) for name in FIXTURE_BUILDERS}
+    return {name: verify_fixture(name) for name in FIXTURE_NAMES}
 
 
 def _check_gap_reduction_conflict(fx, utils):
@@ -431,11 +357,17 @@ def _check_maximin_gap_increase(fx, utils):
     return failures
 
 
-_PROPERTY_CHECKS = {
-    "gap_reduction_conflict": _check_gap_reduction_conflict,
-    "proportional_constraint_conflict": _check_proportional_constraint_conflict,
-    "parity_nonmonotonic_directed": _check_parity_nonmonotonic_directed,
-    "parity_context_dependence": _check_parity_context_dependence,
-    "exact_parity_dominated": _check_exact_parity_dominated,
-    "maximin_gap_increase": _check_maximin_gap_increase,
+# Each fixture's builder and property check, in the order verify reports.
+_FIXTURES = {
+    "gap_reduction_conflict": (build_gap_reduction_conflict, _check_gap_reduction_conflict),
+    "proportional_constraint_conflict": (
+        build_proportional_constraint_conflict, _check_proportional_constraint_conflict),
+    "parity_nonmonotonic_directed": (
+        build_parity_nonmonotonic_directed, _check_parity_nonmonotonic_directed),
+    "parity_context_dependence": (
+        build_parity_context_dependence, _check_parity_context_dependence),
+    "exact_parity_dominated": (build_exact_parity_dominated, _check_exact_parity_dominated),
+    "maximin_gap_increase": (build_maximin_gap_increase, _check_maximin_gap_increase),
 }
+
+FIXTURE_NAMES = tuple(_FIXTURES)

@@ -17,6 +17,7 @@ if so, which vector it mandates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,10 @@ from .cascade import UtilityVector
 
 @dataclass(frozen=True)
 class WelfareParams:
-    """Inequality aversion alpha < 1 and zero-utility floor epsilon."""
+    """Finite inequality aversion alpha < 1 and zero-utility floor epsilon.
+
+    Leximin is the limit alpha -> -inf, not a value of alpha.
+    """
 
     alpha: float
     epsilon: float
@@ -36,6 +40,8 @@ class WelfareParams:
     def __post_init__(self):
         if not self.alpha < 1:
             raise GraphFormatError(f"alpha must be < 1, got {self.alpha}")
+        if self.alpha == -math.inf:
+            raise GraphFormatError(f"alpha must be finite, got {self.alpha}")
         if not (0 < self.epsilon < 1):
             raise GraphFormatError(f"epsilon must be in (0, 1), got {self.epsilon}")
 

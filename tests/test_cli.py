@@ -380,6 +380,8 @@ _SWEEP_GRAPH = {"n": 7, "directed": False, "p": 0.4,
         # An SBM needs at least one community.
         ({"sbm": {"community_sizes": [], "within_prob": 0.2, "between_prob": 0.05}},
          "'community_sizes' must list at least one community"),
+        # -inf is the leximin limit, not an alpha.
+        ({"alphas": [float("-inf"), -2.0]}, "alpha must be finite, got -inf"),
     ],
 )
 def test_malformed_sweep_config_exit_code(tmp_path, capsys, monkeypatch, change, message):
@@ -480,7 +482,7 @@ def test_sketch_count_must_be_positive(capsys, command, count):
     assert ("invalid int value" if count == "x" else "is not a positive integer") in err
 
 
-_BAD_VALUES = {"--alpha": ("1", "1.5", "nan", "x"), "--delta": ("-0.5", "1", "nan", "x"),
+_BAD_VALUES = {"--alpha": ("1", "1.5", "nan", "-inf", "x"), "--delta": ("-0.5", "1", "nan", "x"),
                "--p": ("-0.25", "1.5", "nan", "x")}
 _BAD_VALUE_MESSAGES = {"--alpha": "alpha must be", "--delta": "delta must be",
                        "--p": "propagation probability"}
@@ -504,7 +506,7 @@ def test_alpha_and_delta_are_checked_at_parse_time(capsys, command, flag, value)
         "gen-sbm": ["gen-sbm", "--spec", "missing.json", "--seed", "0"],
     }[command]
     with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, value])
+        main(argv + [f"{flag}={value}"])  # "--alpha -inf" would read -inf as an option
     assert exc.value.code == 2
     err = capsys.readouterr().err
     expected = "invalid float value" if value == "x" else _BAD_VALUE_MESSAGES[flag]

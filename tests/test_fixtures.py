@@ -1,14 +1,16 @@
 """Bundled counterexample fixture tests."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from fairspread.cascade import estimate_utilities, sample_sketches
+from fairspread.cli import main
 from fairspread.errors import GraphFormatError
 from fairspread.fixtures import (
-    EXPECTED_UTILITIES,
     FIXTURE_NAMES,
     build_parity_nonmonotonic_directed,
     fixture_exact_utilities,
@@ -16,7 +18,37 @@ from fairspread.fixtures import (
     verify_all,
     verify_fixture,
 )
+from fairspread.graph import save_graph
 from fairspread.welfare import check_monotonicity_preference, dp_satisfied
+
+# sha256 of each fixture's graph document, seed sets, params, description
+# and exact utilities (see _fixture_digest).  verify checks the utilities
+# and one property per fixture; these catch any other change to an instance.
+FIXTURE_DIGESTS = {
+    "gap_reduction_conflict":
+        "2187bba4e4b2b408d05a4e06c1d233db38c03888bd78ba5af53f1a7698e59f50",
+    "proportional_constraint_conflict":
+        "8414e85f23300e582df0a3932d180dd38fe51603693edecf00a56b7405d4bb90",
+    "parity_nonmonotonic_directed":
+        "de113e80f6eb498956d3ac690fd59ce895aef2eb53b5bfa72416a856bc13c83c",
+    "parity_context_dependence":
+        "2c92f84a9a03ca2a76298f032aadf02f0f13a00e9690adeac8ec78af15cd20c0",
+    "exact_parity_dominated":
+        "672361e8b72f15d29ac2aab89548d0081b728290c85cbc8b1385a9518432f23b",
+    "maximin_gap_increase":
+        "dfcea5490a0e7d32b980e4cec3a51240d9865234b5ff17fc718888f17b4de7fb",
+}
+
+
+def _fixture_digest(fx, path) -> str:
+    save_graph(fx.graph, fx.partition, path)
+    rest = {
+        "seed_sets": [[s, sorted(v.vertices), v.k] for s, v in fx.seed_sets.items()],
+        "params": {key: repr(value) for key, value in fx.params.items()},
+        "description": fx.description,
+        "expected": {s: [repr(x) for x in utils] for s, utils in fx.expected.items()},
+    }
+    return hashlib.sha256(path.read_bytes() + json.dumps(rest).encode()).hexdigest()
 
 
 def test_all_fixtures_verify_clean():
@@ -41,7 +73,15 @@ def test_fixture_documents_are_valid_graph_files():
 def test_expected_tables_cover_every_seed_set():
     for name in FIXTURE_NAMES:
         fx = load_fixture(name)
-        assert set(EXPECTED_UTILITIES[name]) == set(fx.seed_sets)
+        assert set(fx.expected) == set(fx.seed_sets)
+
+
+def test_fixtures_match_pinned_digests(tmp_path, capsys):
+    digests = {name: _fixture_digest(load_fixture(name), tmp_path / f"{name}.json")
+               for name in FIXTURE_NAMES}
+    assert digests == FIXTURE_DIGESTS
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == "".join(f"PASS {name}\n" for name in FIXTURE_NAMES)
 
 
 def test_verify_fixture_detects_tampering():
@@ -56,6 +96,21 @@ def test_parity_builder_rejects_bad_parameters():
         build_parity_nonmonotonic_directed(n_comm=10, p=0.5, delta=0.235)
     with pytest.raises(GraphFormatError):
         build_parity_nonmonotonic_directed(n_comm=4, p=0.35, delta=0.235)
+
+
+def test_parity_closed_form_matches_the_default_values():
+    fx = build_parity_nonmonotonic_directed()
+    assert fx.expected == {
+        "dominant": (Fraction(83, 200), Fraction(17, 100)),
+        "parity": (Fraction(233, 1000), Fraction(249, 2000)),
+    }
+
+
+def test_parity_closed_form_verifies_off_the_default():
+    # 20 coins, within the exact oracle's limit
+    fx = build_parity_nonmonotonic_directed(10, 0.3, 0.2)
+    assert fx.expected["dominant"] == (Fraction(37, 100), Fraction(16, 100))
+    assert verify_fixture("parity_nonmonotonic_directed", fx) == []
 
 
 def test_parity_counterexample_scales_to_small_delta():

@@ -33,6 +33,10 @@ def test_params_validation():
         WelfareParams(alpha=1.0, epsilon=0.01)
     with pytest.raises(GraphFormatError):
         WelfareParams(alpha=0.5, epsilon=0.0)
+    with pytest.raises(GraphFormatError, match="alpha must be finite, got -inf"):
+        WelfareParams(alpha=float("-inf"), epsilon=0.01)
+    with pytest.raises(GraphFormatError, match="alpha must be < 1, got nan"):
+        WelfareParams(alpha=float("nan"), epsilon=0.01)
     assert default_params(-2.0, 100).epsilon == 1 / 200
 
 
