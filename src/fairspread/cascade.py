@@ -506,6 +506,10 @@ class _Evaluator:
     evaluator, so building one labels the items; estimates build none.
     The evaluator keeps the sketch set's items, not the set, so that the
     set's evaluator cache forms no reference cycle.
+
+    ``picks`` is the root of the trie of the pick sequences that its
+    coverage states have made, and ``replay_bytes`` counts the bytes of
+    the replays its nodes keep (see ``CoverageState.add``).
     """
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
@@ -521,6 +525,8 @@ class _Evaluator:
             self.comp_comm[lo:hi] = block @ onehot
         self.lone_comm = np.zeros((n, C), dtype=np.int64)
         self.lone_comm[np.arange(n), part.labels] = self.items.lone
+        self.picks = _Prefix()
+        self.replay_bytes = 0
 
     @cached_property
     def reach_counts(self) -> np.ndarray:
@@ -532,6 +538,25 @@ class _Evaluator:
         return G
 
 
+class _Prefix:
+    """A node of an evaluator's pick trie: one sequence of picks that a
+    coverage state on the evaluator has made from the empty set.
+
+    ``next`` maps a pick to the node of the sequence one pick longer,
+    and ``visits`` counts the adds that have reached this node.
+    ``replay``, once kept, holds what the add into this node changed:
+    the items it covered, the rows of ``uncovered`` it changed with
+    their new values, and the counts it added.
+    """
+
+    __slots__ = ("next", "visits", "replay")
+
+    def __init__(self):
+        self.next: dict[int, _Prefix] = {}
+        self.visits = 0
+        self.replay = None
+
+
 class CoverageState:
     """Incrementally tracked coverage of a growing seed set.
 
@@ -541,6 +566,12 @@ class CoverageState:
     counts from the rows of every vertex that reaches it, and the
     vertex's lone counts from its own row, and appends the vertex to
     ``chosen``.
+
+    ``covered``, ``counts`` and ``uncovered`` are a function of the
+    evaluator and ``chosen`` alone, so an add that another state on the
+    evaluator has made from the same picks can be replayed instead of
+    computed.  ``prefix``, the state's node in the evaluator's pick
+    trie, finds that add in one dict lookup.
     """
 
     def __init__(self, ev: _Evaluator):
@@ -549,6 +580,7 @@ class CoverageState:
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
         self.uncovered = ev.reach_counts.copy()
         self.chosen: list[int] = []
+        self.prefix = ev.picks
 
     def _new_items(self, v: int) -> np.ndarray:
         """The items v reaches that are not yet covered."""
@@ -563,7 +595,47 @@ class CoverageState:
         return counts if v in self.chosen else counts + self.ev.lone_comm[v]
 
     def add(self, v: int) -> np.ndarray:
-        """Cover what v reaches; returns the counts it added.
+        """Cover what v reaches; returns a new array of the counts it added.
+
+        The state moves to v's node in the pick trie.  If that node keeps
+        a replay, the add sets the replay's covered items, writes its rows
+        of ``uncovered`` and adds its counts: bit for bit what computing
+        the add gives.  Otherwise the add is computed (``_cover``).  A
+        node's replay is made at its second visit, the rows that add
+        changed found against a copy of ``uncovered``, so an evaluator
+        that serves one run keeps none.  It is kept while the
+        evaluator's replays stay within ``_CHUNK_BYTES``; the first,
+        always a first pick's since a first pick is reached twice before
+        any longer prefix is, is kept whatever its size.
+        """
+        node = self.prefix.next.get(v)
+        if node is None:
+            node = self.prefix.next[v] = _Prefix()
+        self.prefix = node
+        node.visits += 1
+        if node.replay is not None:
+            items, rows, values, delta = node.replay
+            self.chosen.append(v)
+            self.covered[items] = True
+            self.uncovered[rows] = values
+            self.counts += delta
+            return delta.copy()
+        kept = self.ev.replay_bytes
+        if node.visits != 2 or kept >= _CHUNK_BYTES:
+            return self._cover(v)[0]
+        before = self.uncovered.copy()
+        delta, items = self._cover(v)
+        rows = np.flatnonzero((self.uncovered != before).any(axis=1)).astype(np.int32)
+        replay = (items, rows, self.uncovered[rows], delta.copy())
+        size = sum(part.nbytes for part in replay)
+        if not kept or kept + size <= _CHUNK_BYTES:
+            node.replay = replay
+            self.ev.replay_bytes += size
+        return delta
+
+    def _cover(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Compute the add of v; returns the counts it added and the items
+        it newly covered.
 
         The newly covered items' weights, their community counts as
         floats, are drawn once; ``delta`` is their sum, exact because
@@ -584,7 +656,7 @@ class CoverageState:
         self.counts += delta
         self.uncovered[v] -= lone
         if not len(new):
-            return delta
+            return delta, new
         self.covered[new] = True
         indptr = self.ev.items.members.indptr
         stops = indptr[new + 1]
@@ -593,13 +665,13 @@ class CoverageState:
         per_chunk = _CHUNK_BYTES // 8
         if ends[-1] <= per_chunk:
             self._decrement(stops, sizes, ends, weights)
-            return delta
+            return delta, new
         first = (ends - sizes) // per_chunk
         cuts = np.flatnonzero(first[1:] != first[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(new)]):
             self._decrement(stops[lo:hi], sizes[lo:hi], ends[lo:hi] - (ends[lo] - sizes[lo]),
                             weights[:, lo:hi])
-        return delta
+        return delta, new
 
     def _decrement(self, stops, sizes, ends, weights) -> None:
         """Subtract each item's weights from its member rows of ``uncovered``.
@@ -738,7 +810,16 @@ def exact_utilities(g: Graph, seeds: SeedSet, part: CommunityPartition) -> Utili
     directed arc its own coin.  Requires at most EXACT_COIN_LIMIT coins
     unless p is 0 or 1, where no edge is a coin.
     """
-    seeds.check_ids(g.n)
+    return exact_utilities_each(g, [seeds], part)[0]
+
+
+def exact_utilities_each(g: Graph, seed_sets, part: CommunityPartition) -> list[UtilityVector]:
+    """``exact_utilities`` of each seed set from one enumeration: one
+    build of the live-edge subsets and one ``reach`` of every set's rows."""
+    for seeds in seed_sets:
+        seeds.check_ids(g.n)
     subsets = _LiveEdgeSubsets(g, part)
-    rows = [subsets.row[v] for v in seeds.vertices if subsets.row[v] >= 0]
-    return subsets.utilities(subsets.arc_bits.reach([rows])[0], seeds.vertices)
+    row = subsets.row
+    starts = [[row[v] for v in seeds.vertices if row[v] >= 0] for seeds in seed_sets]
+    tables = subsets.arc_bits.reach(starts)
+    return [subsets.utilities(table, seeds.vertices) for table, seeds in zip(tables, seed_sets)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cascade import UtilityVector, exact_utilities
+from .cascade import UtilityVector, exact_utilities_each
 from .errors import GraphFormatError
 from .graph import CommunityPartition, Graph, SeedSet
 from .welfare import (
@@ -245,10 +245,9 @@ GAP_CONFLICT_ALPHAS = (-5.0, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 0.9)
 
 
 def fixture_exact_utilities(fx: Fixture) -> dict[str, UtilityVector]:
-    return {
-        name: exact_utilities(fx.graph, seeds, fx.partition)
-        for name, seeds in fx.seed_sets.items()
-    }
+    """Each seed set's exact utilities, from one enumeration of the fixture."""
+    utils = exact_utilities_each(fx.graph, list(fx.seed_sets.values()), fx.partition)
+    return dict(zip(fx.seed_sets, utils))
 
 
 def verify_fixture(name: str, fx: Fixture | None = None) -> list[str]:

@@ -170,6 +170,13 @@ class _GreedyRun:
     before then, -inf once chosen.  It persists between calls of
     ``extend``, so a paused run picks as one that never paused.
 
+    Runs on one evaluator, such as SATURATE's runs at each gamma or a
+    sweep's selectors on one sketch set, often make the same first
+    picks.  ``state.add`` replays such an add when another state has
+    made it before (``CoverageState.add``), bit for bit, so every gain
+    is still scored and the picks, values and ``evaluations`` are those
+    of a run that computed each add.
+
     This is CELF's heap loop in closed form.  The heap pops entries by
     (cached gain, lowest id) and refreshes each until a refreshed gain
     beats every cached gain left, so it picks v = argmax(min(cached,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairspread import cascade
 from fairspread.cascade import estimate_utilities, sample_sketches
 from fairspread.cli import main
 from fairspread.errors import GraphFormatError
@@ -56,6 +57,20 @@ def test_all_fixtures_verify_clean():
     assert set(report) == set(FIXTURE_NAMES)
     for name, failures in report.items():
         assert failures == [], f"{name}: {failures}"
+
+
+def test_verify_all_enumerates_each_fixture_once(monkeypatch):
+    # One build of the live-edge subsets per fixture serves all its seed sets.
+    builds = []
+    init = cascade._LiveEdgeSubsets.__init__
+
+    def counted(self, g, part):
+        builds.append(g)
+        init(self, g, part)
+
+    monkeypatch.setattr(cascade._LiveEdgeSubsets, "__init__", counted)
+    verify_all()
+    assert builds == [load_fixture(name).graph for name in FIXTURE_NAMES]
 
 
 def test_load_fixture_unknown_name():

@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -691,3 +692,196 @@ def test_fair_selection_reduces_gap_on_average():
         gaps_util.append(utility_gap(estimate_utilities(sk, s_u, part)))
         gaps_fair.append(utility_gap(estimate_utilities(sk, s_f, part)))
     assert np.mean(gaps_fair) < np.mean(gaps_util)
+
+
+# --- replayed adds ------------------------------------------------------------
+
+
+def _trie_nodes(node):
+    """Every node under node in an evaluator's pick trie."""
+    for child in node.next.values():
+        yield child
+        yield from _trie_nodes(child)
+
+
+def _kept(ev):
+    """The nodes of ev's pick trie that keep a replay."""
+    return [node for node in _trie_nodes(ev.picks) if node.replay is not None]
+
+
+def _replay_bytes(nodes):
+    return sum(part.nbytes for node in nodes for part in node.replay)
+
+
+def _computed_state(sk, part, picks):
+    """A state given picks on an evaluator of its own, so that every add is computed."""
+    state = CoverageState(cascade._Evaluator(sk, part))
+    for v in picks:
+        state.add(v)
+    return state
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 64], ids=["default", "first-only"])
+def test_replayed_states_equal_computed_ones(monkeypatch, chunk_bytes):
+    # Every selector's runs on one evaluator, SATURATE's paused best run
+    # finished after its other gammas and DC's two phases on one state,
+    # end in the arrays that computing each run's picks gives.  At a cap
+    # of 64 bytes only the evaluator's first replay, a first pick's, is kept.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(cascade, "_CHUNK_BYTES", chunk_bytes)
+    states = []
+    make = cascade._SketchSet.coverage_state
+
+    def recorded(self, part):
+        states.append(make(self, part))
+        return states[-1]
+
+    monkeypatch.setattr(cascade._SketchSet, "coverage_state", recorded)
+    g, part = _instance(seed=3, sizes=(30, 30, 30), q=0.1, between=0.01)
+    sk = sample_sketches(g, 100, 5)
+    k = 8
+    greedy_utilitarian(sk, part, k)
+    greedy_welfare(sk, part, k, default_params(-2.0, g.n))
+    greedy_welfare(sk, part, k, default_params(0.5, g.n))
+    saturate_maximin(sk, part, k)
+    saturate_dc(sk, part, k, dc_lower_bounds(g, part, k, 100, 1))
+    ev = sk.evaluator(part)
+    ours = [state for state in states if state.ev is ev]
+    assert len(ours) >= 6
+    for state in ours:
+        computed = _computed_state(sk, part, state.chosen)
+        assert state.chosen == computed.chosen
+        for name in ("covered", "counts", "uncovered"):
+            mine, theirs = getattr(state, name), getattr(computed, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+    kept = _kept(ev)
+    assert any(node.visits > 2 for node in kept)  # some add was replayed
+    assert ev.replay_bytes == _replay_bytes(kept)
+    if chunk_bytes is not None:
+        assert len(kept) == 1 and kept[0] in ev.picks.next.values()
+        assert ev.replay_bytes > chunk_bytes
+
+
+def test_single_runs_keep_no_replay():
+    # Each evaluator serves one run: a greedy, or DC's two phases on one
+    # state, or one community's run in its bounds.
+    g, part = _instance(seed=1)
+    runs = [lambda sk: greedy_welfare(sk, part, 6, default_params(-2.0, g.n)),
+            lambda sk: greedy_utilitarian(sk, part, 6),
+            lambda sk: saturate_dc(sk, part, 6, dc_lower_bounds(g, part, 6, 50, 2))]
+    for run in runs:
+        sk = sample_sketches(g, 50, 0)
+        run(sk)
+        ev = sk.evaluator(part)
+        assert ev.replay_bytes == 0 and not _kept(ev)
+        assert len(ev.picks.next) == 1  # one run's first pick
+
+
+def test_replays_stay_within_the_cap_on_the_case_study_shape():
+    # 16 communities of 372: a first pick rewrites nearly every (n, C)
+    # row of uncovered, about 780 KB, so SATURATE's runs keep that replay
+    # and refuse later ones that would pass _CHUNK_BYTES.
+    g, part = generate_sbm(SbmSpec((372,) * 16, (0.01,) * 16, 0.0005), rng_seed=1)
+    sk = sample_sketches(g, 200, 0)
+    saturate_maximin(sk, part, 30)
+    ev = sk.evaluator(part)
+    kept = _kept(ev)
+    assert kept and ev.replay_bytes == _replay_bytes(kept) <= cascade._CHUNK_BYTES
+    assert any(node.visits >= 2 and node.replay is None for node in _trie_nodes(ev.picks))
+
+
+# --- picks checked in exact arithmetic ------------------------------------------
+
+# (SBM, graph key, sketch key, R, budget), fixed before any result was seen.
+_EXACT_PICK_INSTANCES = [
+    (SbmSpec((20, 20, 20), (0.2, 0.1, 0.05), 0.02), 0, 0, 100, 10),
+    (SbmSpec((10, 20, 30), (0.3, 0.15, 0.1), 0.03), 1, 1, 100, 10),
+]
+# The connectedness study's shape at q3 = 0.03, where ROADMAP item 5
+# counts float ties among the first picks at alpha = -9: its first pick.
+_CONNECTEDNESS = (SbmSpec((100,) * 3, (0.06, 0.03, 0.03), 0.005), 0, 0, 300, 1)
+
+
+def _exact_pick_sketches(instances=_EXACT_PICK_INSTANCES):
+    """(sketches, partition, budget) of each instance."""
+    for spec, graph_key, sketch_key, R, k in instances:
+        g, part = generate_sbm(spec, graph_key)
+        yield sample_sketches(g, R, sketch_key), part, k
+
+
+def _check_exact_picks(sk, part, chosen, score):
+    """Assert that every pick of a greedy run is among the exact maximizers
+    of the post-pick objective over the unchosen vertices.
+
+    The counts come from the sketches' reach tables, not from a coverage
+    state.  ``score`` maps post-pick utilities, as Fractions, to a lower
+    and an upper bound of the objective (equal where it is rational), so
+    a pick passes if its upper bound reaches every lower bound.
+    """
+    onehot = np.equal.outer(part.labels, np.arange(part.num_communities)).astype(np.int64)
+    for i, v in enumerate(chosen):
+        candidates = [u for u in range(sk.graph.n) if u not in chosen[:i]]
+        tables = sk.arc_bits.reach([[*chosen[:i], u] for u in candidates])
+        counts = np.bitwise_count(tables).sum(axis=2, dtype=np.int64) @ onehot
+        bounds = {u: score([Fraction(int(c), sk.R * n_c) for c, n_c in zip(row, part.sizes)])
+                  for u, row in zip(candidates, counts)}
+        assert bounds[v][1] >= max(lo for lo, _ in bounds.values()), (i, v)
+
+
+def _sqrt_bounds(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Fractions within 2**-bits / denominator below and above sqrt(x)."""
+    a, b = x.as_integer_ratio()
+    s = math.isqrt(a * b << 2 * bits)
+    return Fraction(s, b << bits), Fraction(s + 1, b << bits)
+
+
+def _welfare_score(alpha, params, sizes):
+    """sum_c n_c g(max(u_c, eps)): exact at integer alpha, bounded at 0.5."""
+    eps = Fraction(params.epsilon)
+
+    def score(u):
+        u = [max(x, eps) for x in u]
+        if alpha == 0.5:  # g(x) = 2 sqrt(x)
+            lo, hi = zip(*map(_sqrt_bounds, u))
+            return (sum(2 * n * r for n, r in zip(sizes, lo)),
+                    sum(2 * n * r for n, r in zip(sizes, hi)))
+        value = sum(n * x ** int(alpha) / int(alpha) for n, x in zip(sizes, u))
+        return value, value
+
+    return score
+
+
+_ITEM_5 = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="float welfare gains tie or misorder picks at very negative alpha (ROADMAP item 5)")
+
+
+@pytest.mark.parametrize("alpha", [0.5, -2.0, -5.0, pytest.param(-9.0, marks=_ITEM_5),
+                                   pytest.param(-20.0, marks=_ITEM_5)])
+def test_welfare_picks_are_exact_maximizers(alpha):
+    for sk, part, k in _exact_pick_sketches([*_EXACT_PICK_INSTANCES, _CONNECTEDNESS]):
+        params = default_params(alpha, sk.graph.n)
+        _, trace = greedy_welfare(sk, part, k, params)
+        _check_exact_picks(sk, part, trace.chosen, _welfare_score(alpha, params, part.sizes))
+
+
+def test_truncated_dc_and_total_picks_are_exact_maximizers():
+    # Rational gammas and bounds; an instance's runs share one evaluator,
+    # so later runs replay the adds of the picks they share.
+    replayed = []
+    for sk, part, k in _exact_pick_sketches():
+        runs = []
+        for gamma in (Fraction(1, 8), Fraction(1, 4)):
+            objective = truncated_objective(part, sk.R, float(gamma))
+            runs.append((objective, lambda u, gamma=gamma: sum(min(x, gamma) for x in u)))
+        for bounds in ((Fraction(3, 8), Fraction(1, 4), Fraction(0)), (Fraction(1, 8),) * 3):
+            objective = dc_objective(part, sk.R, DcBounds(tuple(map(float, bounds)), (0, 0, 0), k))
+            runs.append((objective, lambda u, bounds=bounds: sum(
+                min(x / b, 1) for x, b in zip(u, bounds) if b > 0)))
+        sizes = part.sizes
+        runs.append((TotalObjective(sk.R), lambda u: sum(n * x for n, x in zip(sizes, u))))
+        for objective, value in runs:
+            trace = _greedy_run(sk.coverage_state(part), k, objective)
+            _check_exact_picks(sk, part, trace.chosen, lambda u: (value(u),) * 2)
+        replayed += [node for node in _kept(sk.evaluator(part)) if node.visits > 2]
+    assert replayed
