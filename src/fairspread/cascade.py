@@ -507,9 +507,9 @@ class _Evaluator:
     The evaluator keeps the sketch set's items, not the set, so that the
     set's evaluator cache forms no reference cycle.
 
-    ``picks`` is the root of the trie of the pick sequences that its
-    coverage states have made, and ``replay_bytes`` counts the bytes of
-    the replays its nodes keep (see ``CoverageState.add``).
+    ``first_seen`` counts the first picks of its coverage states by
+    vertex, ``first_replays`` keeps replays of some of those adds, and
+    ``replay_bytes`` counts the bytes they hold (see ``CoverageState.add``).
     """
 
     def __init__(self, sk: _SketchSet, part: CommunityPartition):
@@ -525,7 +525,8 @@ class _Evaluator:
             self.comp_comm[lo:hi] = block @ onehot
         self.lone_comm = np.zeros((n, C), dtype=np.int64)
         self.lone_comm[np.arange(n), part.labels] = self.items.lone
-        self.picks = _Prefix()
+        self.first_seen: dict[int, int] = {}
+        self.first_replays: dict[int, tuple] = {}
         self.replay_bytes = 0
 
     @cached_property
@@ -536,25 +537,6 @@ class _Evaluator:
         for lo, hi, block in _row_blocks(self.items.members):
             G += block.T @ self.comp_comm[lo:hi].astype(np.int64)
         return G
-
-
-class _Prefix:
-    """A node of an evaluator's pick trie: one sequence of picks that a
-    coverage state on the evaluator has made from the empty set.
-
-    ``next`` maps a pick to the node of the sequence one pick longer,
-    and ``visits`` counts the adds that have reached this node.
-    ``replay``, once kept, holds what the add into this node changed:
-    the items it covered, the rows of ``uncovered`` it changed with
-    their new values, and the counts it added.
-    """
-
-    __slots__ = ("next", "visits", "replay")
-
-    def __init__(self):
-        self.next: dict[int, _Prefix] = {}
-        self.visits = 0
-        self.replay = None
 
 
 class CoverageState:
@@ -568,10 +550,8 @@ class CoverageState:
     ``chosen``.
 
     ``covered``, ``counts`` and ``uncovered`` are a function of the
-    evaluator and ``chosen`` alone, so an add that another state on the
-    evaluator has made from the same picks can be replayed instead of
-    computed.  ``prefix``, the state's node in the evaluator's pick
-    trie, finds that add in one dict lookup.
+    evaluator and ``chosen`` alone, so a first pick that another state
+    on the evaluator has made can be replayed instead of computed.
     """
 
     def __init__(self, ev: _Evaluator):
@@ -580,7 +560,6 @@ class CoverageState:
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
         self.uncovered = ev.reach_counts.copy()
         self.chosen: list[int] = []
-        self.prefix = ev.picks
 
     def _new_items(self, v: int) -> np.ndarray:
         """The items v reaches that are not yet covered."""
@@ -597,40 +576,39 @@ class CoverageState:
     def add(self, v: int) -> np.ndarray:
         """Cover what v reaches; returns a new array of the counts it added.
 
-        The state moves to v's node in the pick trie.  If that node keeps
-        a replay, the add sets the replay's covered items, writes its rows
-        of ``uncovered`` and adds its counts: bit for bit what computing
-        the add gives.  Otherwise the add is computed (``_cover``).  A
-        node's replay is made at its second visit, the rows that add
-        changed found against a copy of ``uncovered``, so an evaluator
-        that serves one run keeps none.  It is kept while the
-        evaluator's replays stay within ``_CHUNK_BYTES``; the first,
-        always a first pick's since a first pick is reached twice before
-        any longer prefix is, is kept whatever its size.
+        A first pick, the costliest add, is looked up in the evaluator's
+        first-pick replays.  A replay sets its covered items, writes its
+        rows of ``uncovered`` and adds its counts: bit for bit what
+        computing the add gives.  Other adds are computed (``_cover``).
+        A first pick's replay is made the second time a state on the
+        evaluator makes it, so an evaluator that serves one run keeps
+        none, and kept only while the evaluator's replays stay within
+        ``_CHUNK_BYTES``.  An add only subtracts non-negative counts
+        from ``uncovered``, so the rows it changed are those whose sum
+        fell.
         """
-        node = self.prefix.next.get(v)
-        if node is None:
-            node = self.prefix.next[v] = _Prefix()
-        self.prefix = node
-        node.visits += 1
-        if node.replay is not None:
-            items, rows, values, delta = node.replay
+        if self.chosen:
+            return self._cover(v)[0]
+        ev = self.ev
+        seen = ev.first_seen[v] = ev.first_seen.get(v, 0) + 1
+        replay = ev.first_replays.get(v)
+        if replay is not None:
+            items, rows, values, delta = replay
             self.chosen.append(v)
             self.covered[items] = True
             self.uncovered[rows] = values
             self.counts += delta
             return delta.copy()
-        kept = self.ev.replay_bytes
-        if node.visits != 2 or kept >= _CHUNK_BYTES:
+        if seen != 2 or ev.replay_bytes >= _CHUNK_BYTES:
             return self._cover(v)[0]
-        before = self.uncovered.copy()
+        before = self.uncovered.sum(axis=1)
         delta, items = self._cover(v)
-        rows = np.flatnonzero((self.uncovered != before).any(axis=1)).astype(np.int32)
+        rows = np.flatnonzero(self.uncovered.sum(axis=1) != before).astype(np.int32)
         replay = (items, rows, self.uncovered[rows], delta.copy())
         size = sum(part.nbytes for part in replay)
-        if not kept or kept + size <= _CHUNK_BYTES:
-            node.replay = replay
-            self.ev.replay_bytes += size
+        if ev.replay_bytes + size <= _CHUNK_BYTES:
+            ev.first_replays[v] = replay
+            ev.replay_bytes += size
         return delta
 
     def _cover(self, v: int) -> tuple[np.ndarray, np.ndarray]:

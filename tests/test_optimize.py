@@ -697,20 +697,13 @@ def test_fair_selection_reduces_gap_on_average():
 # --- replayed adds ------------------------------------------------------------
 
 
-def _trie_nodes(node):
-    """Every node under node in an evaluator's pick trie."""
-    for child in node.next.values():
-        yield child
-        yield from _trie_nodes(child)
+def _replayed(ev):
+    """The first picks whose replay some state on ev has used."""
+    return [v for v in ev.first_replays if ev.first_seen[v] > 2]
 
 
-def _kept(ev):
-    """The nodes of ev's pick trie that keep a replay."""
-    return [node for node in _trie_nodes(ev.picks) if node.replay is not None]
-
-
-def _replay_bytes(nodes):
-    return sum(part.nbytes for node in nodes for part in node.replay)
+def _replay_bytes(ev):
+    return sum(part.nbytes for replay in ev.first_replays.values() for part in replay)
 
 
 def _computed_state(sk, part, picks):
@@ -721,12 +714,12 @@ def _computed_state(sk, part, picks):
     return state
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 64], ids=["default", "first-only"])
+@pytest.mark.parametrize("chunk_bytes", [None, 64], ids=["default", "none-kept"])
 def test_replayed_states_equal_computed_ones(monkeypatch, chunk_bytes):
     # Every selector's runs on one evaluator, SATURATE's paused best run
     # finished after its other gammas and DC's two phases on one state,
-    # end in the arrays that computing each run's picks gives.  At a cap
-    # of 64 bytes only the evaluator's first replay, a first pick's, is kept.
+    # end in the arrays that computing each run's picks gives.  A cap of
+    # 64 bytes refuses every replay.
     if chunk_bytes is not None:
         monkeypatch.setattr(cascade, "_CHUNK_BYTES", chunk_bytes)
     states = []
@@ -754,12 +747,11 @@ def test_replayed_states_equal_computed_ones(monkeypatch, chunk_bytes):
         for name in ("covered", "counts", "uncovered"):
             mine, theirs = getattr(state, name), getattr(computed, name)
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
-    kept = _kept(ev)
-    assert any(node.visits > 2 for node in kept)  # some add was replayed
-    assert ev.replay_bytes == _replay_bytes(kept)
-    if chunk_bytes is not None:
-        assert len(kept) == 1 and kept[0] in ev.picks.next.values()
-        assert ev.replay_bytes > chunk_bytes
+    assert ev.replay_bytes == _replay_bytes(ev)
+    if chunk_bytes is None:
+        assert _replayed(ev)
+    else:
+        assert not ev.first_replays and max(ev.first_seen.values()) > 2
 
 
 def test_single_runs_keep_no_replay():
@@ -773,21 +765,18 @@ def test_single_runs_keep_no_replay():
         sk = sample_sketches(g, 50, 0)
         run(sk)
         ev = sk.evaluator(part)
-        assert ev.replay_bytes == 0 and not _kept(ev)
-        assert len(ev.picks.next) == 1  # one run's first pick
+        assert ev.replay_bytes == 0 and not ev.first_replays
+        assert list(ev.first_seen.values()) == [1]  # one run's first pick
 
 
 def test_replays_stay_within_the_cap_on_the_case_study_shape():
-    # 16 communities of 372: a first pick rewrites nearly every (n, C)
-    # row of uncovered, about 780 KB, so SATURATE's runs keep that replay
-    # and refuse later ones that would pass _CHUNK_BYTES.
+    # 16 communities of 372: SATURATE's runs share a first pick whose
+    # replay rewrites nearly every (n, C) row of uncovered, about 785 KB.
     g, part = generate_sbm(SbmSpec((372,) * 16, (0.01,) * 16, 0.0005), rng_seed=1)
     sk = sample_sketches(g, 200, 0)
     saturate_maximin(sk, part, 30)
     ev = sk.evaluator(part)
-    kept = _kept(ev)
-    assert kept and ev.replay_bytes == _replay_bytes(kept) <= cascade._CHUNK_BYTES
-    assert any(node.visits >= 2 and node.replay is None for node in _trie_nodes(ev.picks))
+    assert _replayed(ev) and ev.replay_bytes == _replay_bytes(ev) <= cascade._CHUNK_BYTES
 
 
 # --- picks checked in exact arithmetic ------------------------------------------
@@ -883,5 +872,5 @@ def test_truncated_dc_and_total_picks_are_exact_maximizers():
         for objective, value in runs:
             trace = _greedy_run(sk.coverage_state(part), k, objective)
             _check_exact_picks(sk, part, trace.chosen, lambda u: (value(u),) * 2)
-        replayed += [node for node in _kept(sk.evaluator(part)) if node.visits > 2]
+        replayed += _replayed(sk.evaluator(part))
     assert replayed
