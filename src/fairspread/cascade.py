@@ -542,12 +542,13 @@ class _Evaluator:
 class CoverageState:
     """Incrementally tracked coverage of a growing seed set.
 
-    ``uncovered[u]`` counts, per community, the (sketch, vertex) pairs
-    that u would newly cover: ``gain_counts(u)`` for every vertex.
-    ``add`` keeps it current by subtracting each newly covered item's
-    counts from the rows of every vertex that reaches it, and the
-    vertex's lone counts from its own row, and appends the vertex to
-    ``chosen``.
+    ``uncovered`` is community-major, (C, n) int64: column u counts, per
+    community, the (sketch, vertex) pairs that u would newly cover,
+    ``gain_counts(u)`` for every vertex, and row c holds community c's
+    counts of every vertex contiguously.  ``add`` keeps it current by
+    subtracting each newly covered item's counts from the columns of
+    every vertex that reaches it, and the vertex's lone counts from its
+    own column, and appends the vertex to ``chosen``.
 
     ``covered``, ``counts`` and ``uncovered`` are a function of the
     evaluator and ``chosen`` alone, so a first pick that another state
@@ -558,7 +559,7 @@ class CoverageState:
         self.ev = ev
         self.covered = np.zeros(ev.items.count, dtype=bool)
         self.counts = np.zeros(ev.part.num_communities, dtype=np.int64)
-        self.uncovered = ev.reach_counts.copy()
+        self.uncovered = ev.reach_counts.T.copy()
         self.chosen: list[int] = []
 
     def _new_items(self, v: int) -> np.ndarray:
@@ -578,14 +579,14 @@ class CoverageState:
 
         A first pick, the costliest add, is looked up in the evaluator's
         first-pick replays.  A replay sets its covered items, writes its
-        rows of ``uncovered`` and adds its counts: bit for bit what
+        columns of ``uncovered`` and adds its counts: bit for bit what
         computing the add gives.  Other adds are computed (``_cover``).
         A first pick's replay is made the second time a state on the
         evaluator makes it, so an evaluator that serves one run keeps
         none, and kept only while the evaluator's replays stay within
         ``_CHUNK_BYTES``.  An add only subtracts non-negative counts
-        from ``uncovered``, so the rows it changed are those whose sum
-        fell.
+        from ``uncovered``, so the columns it changed are those whose
+        sum fell.
         """
         if self.chosen:
             return self._cover(v)[0]
@@ -593,18 +594,18 @@ class CoverageState:
         seen = ev.first_seen[v] = ev.first_seen.get(v, 0) + 1
         replay = ev.first_replays.get(v)
         if replay is not None:
-            items, rows, values, delta = replay
+            items, columns, values, delta = replay
             self.chosen.append(v)
             self.covered[items] = True
-            self.uncovered[rows] = values
+            self.uncovered[:, columns] = values
             self.counts += delta
             return delta.copy()
         if seen != 2 or ev.replay_bytes >= _CHUNK_BYTES:
             return self._cover(v)[0]
-        before = self.uncovered.sum(axis=1)
+        before = self.uncovered.sum(axis=0)
         delta, items = self._cover(v)
-        rows = np.flatnonzero(self.uncovered.sum(axis=1) != before).astype(np.int32)
-        replay = (items, rows, self.uncovered[rows], delta.copy())
+        columns = np.flatnonzero(self.uncovered.sum(axis=0) != before).astype(np.int32)
+        replay = (items, columns, self.uncovered[:, columns], delta.copy())
         size = sum(part.nbytes for part in replay)
         if ev.replay_bytes + size <= _CHUNK_BYTES:
             ev.first_replays[v] = replay
@@ -617,14 +618,17 @@ class CoverageState:
 
         The newly covered items' weights, their community counts as
         floats, are drawn once; ``delta`` is their sum, exact because
-        every sum of counts is at most R * n < 2**53.  One ``cumsum`` of
-        the items' member row sizes gives both the entry offsets and the
-        chunk test: when the rows hold at most ``_CHUNK_BYTES // 8``
-        entries, the usual case, one ``_decrement`` call takes them all.
-        A larger add, such as a first pick that covers millions of rows,
-        is decremented in chunks, the items whose first row falls in one
-        run of that many entries, so it holds the transients of about
-        that many rows at a time.
+        every sum of counts is at most R * n < 2**53.  ``_decrement``
+        holds C keys and C weights per entry of the items' member rows,
+        so one call takes at most ``_CHUNK_BYTES // (8 C)`` entries.
+        One ``cumsum`` of the row sizes gives both the entry offsets and
+        the chunk test: when every row fits, the usual case, one call
+        takes them all.  A larger add, such as a first pick that covers
+        millions of rows, is decremented in runs of whole items that fit,
+        each cut by one ``searchsorted``; an item whose row alone is
+        longer is a run of its own.  The runs' float decrements are
+        summed, still exact, and cast to int64 and subtracted from
+        ``uncovered`` in place once.
         """
         lone = 0 if v in self.chosen else self.ev.lone_comm[v]
         self.chosen.append(v)
@@ -632,7 +636,7 @@ class CoverageState:
         weights = self.ev.comp_comm[new].T.astype(np.float64)
         delta = weights.sum(axis=1).astype(np.int64) + lone
         self.counts += delta
-        self.uncovered[v] -= lone
+        self.uncovered[:, v] -= lone
         if not len(new):
             return delta, new
         self.covered[new] = True
@@ -640,36 +644,39 @@ class CoverageState:
         stops = indptr[new + 1]
         sizes = stops - indptr[new]
         ends = np.cumsum(sizes)
-        per_chunk = _CHUNK_BYTES // 8
+        per_chunk = _CHUNK_BYTES // (8 * len(weights))
         if ends[-1] <= per_chunk:
-            self._decrement(stops, sizes, ends, weights)
-            return delta, new
-        first = (ends - sizes) // per_chunk
-        cuts = np.flatnonzero(first[1:] != first[:-1]) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(new)]):
-            self._decrement(stops[lo:hi], sizes[lo:hi], ends[lo:hi] - (ends[lo] - sizes[lo]),
-                            weights[:, lo:hi])
+            dec = self._decrement(stops, sizes, ends, weights)
+        else:
+            dec, lo = np.zeros(self.uncovered.size), 0
+            while lo < len(new):
+                start = ends[lo] - sizes[lo]
+                hi = max(lo + 1, int(np.searchsorted(ends, start + per_chunk, side="right")))
+                dec += self._decrement(stops[lo:hi], sizes[lo:hi], ends[lo:hi] - start,
+                                       weights[:, lo:hi])
+                lo = hi
+        self.uncovered -= dec.reshape(self.uncovered.shape).astype(np.int64)
         return delta, new
 
-    def _decrement(self, stops, sizes, ends, weights) -> None:
-        """Subtract each item's weights from its member rows of ``uncovered``.
+    def _decrement(self, stops, sizes, ends, weights) -> np.ndarray:
+        """The float decrement of the flattened ``uncovered`` by each
+        item's weights on its member columns.
 
         ``stops`` and ``sizes`` are the items' row ends in the member
         index and their lengths, and ``ends`` the running sum of
         ``sizes``.  The rows are gathered with numpy: a sparse matrix's
         per-call overhead would dominate a greedy's many small adds.
-        Each community's float ``bincount`` holds exact integers, and is
-        subtracted from its int64 column in place, cast back unsafely.
+        Community c's entry for vertex u is keyed ``u + c n``, its place
+        in the flattened matrix, so it is one float ``bincount`` over
+        every community's keys, and holds exact integers.
         """
         at = np.repeat(stops - ends, sizes)
         at += np.arange(len(at))  # the index entries of the items' rows
         rows = self.ev.items.members.indices[at]
         del at
-        n = len(self.uncovered)
-        for c, w in enumerate(weights):
-            column = self.uncovered[:, c]
-            dec = np.bincount(rows, np.repeat(w, sizes), minlength=n)
-            np.subtract(column, dec, out=column, casting="unsafe")
+        C, n = self.uncovered.shape
+        keys = rows + np.arange(0, C * n, n)[:, None]
+        return np.bincount(keys.ravel(), np.repeat(weights, sizes, axis=1).ravel(), minlength=C * n)
 
 
 SketchSet = UndirectedSketchSet | DirectedSketchSet

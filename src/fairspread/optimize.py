@@ -45,8 +45,8 @@ METHODS = ("welfare", "utilitarian", "maximin", "dc")
 @dataclass(frozen=True)
 class SelectionTrace:
     """A greedy run: the picks, the objective after each, the number of
-    candidate gains computed (for block gains, the rows of vertices not
-    yet chosen), and the per-community counts covered at its end."""
+    candidate gains computed (for block gains, the columns of vertices
+    not yet chosen), and the per-community counts covered at its end."""
 
     chosen: tuple[int, ...]
     objective_after_each: tuple[float, ...]
@@ -91,49 +91,51 @@ class TotalObjective:
         return float(counts.sum()) / self.R
 
     def gains(self, counts, D):
-        """Gains of the rows of the (m, C) block D of added counts."""
-        return D.sum(axis=1).astype(np.float64) / self.R
+        """Gains of the columns of the (C, m) block D of added counts."""
+        return D.sum(axis=0) / self.R
 
     def gain(self, counts, delta):
-        return float(self.gains(counts, delta[None])[0])
+        return float(self.gains(counts, delta[:, None])[0])
 
 
 class _Objective:
     """Separable objective sum_c w_c (f(u_c) - f(0)) over active communities.
 
     u_c = counts_c / (R n_c) is community c's sketch utility; f acts
-    elementwise.  Gains apply f, then the mask, then the weights, and
-    sum each row over communities: CELF splits exact ties by float
-    rounding, so this order is part of what the selectors pick.  Masked
-    terms enter the sum as exact zeros (never as products with a 0/1
-    mask, since inf - inf at very negative alpha would give nan), so a
-    row sums the same floats in the same order as its active
-    communities alone.  Below 8 communities numpy adds a row left to
-    right, so the zeros change nothing; from 8 on its pairwise
-    summation groups the terms by position, so the last bit of a gain
-    can depend on where the masked zeros sit.
+    elementwise on a (C, m) block, one community per row.  Gains apply
+    f, then the mask, then the weights, and add the active communities'
+    rows left to right: CELF splits exact ties by float rounding, so
+    this order is part of what the selectors pick.  Masked terms enter
+    the sum as exact zeros (never as products with a 0/1 mask, since
+    inf - inf at very negative alpha would give nan), so a column sums
+    the same floats in the same order as its active communities alone,
+    and a block's column gains the same float as ``gain`` of that column.
     """
 
     def __init__(self, part: CommunityPartition, R: int, f, weights=None, active=None):
         C = part.num_communities
-        self.scale = R * np.array(part.sizes, dtype=np.float64)
+        self.scale = R * np.array(part.sizes, dtype=np.float64)[:, None]
         self.f = f
-        self.weights = np.ones(C) if weights is None else weights
+        self.weights = np.ones((C, 1)) if weights is None else weights[:, None]
         self.active = np.ones(C, dtype=bool) if active is None else active
-        self.base = f(np.zeros(C))
+        self.base = f(np.zeros((C, 1)))
 
     def value(self, counts):
-        terms = self.weights * (self.f(counts / self.scale) - self.base)
-        return float(np.sum(terms[self.active]))
+        terms = self.weights * (self.f(counts[:, None] / self.scale) - self.base)
+        return float(np.sum(terms[self.active, 0]))
 
     def gains(self, counts, D):
-        """Gains of the rows of the (m, C) block D of added counts."""
-        mask = (D > 0) & self.active
-        terms = self.f((counts + D) / self.scale) - self.f(counts / self.scale)
-        return np.where(mask, self.weights * terms, 0.0).sum(axis=1)
+        """Gains of the columns of the (C, m) block D of added counts."""
+        before = self.f(counts[:, None] / self.scale)
+        after = self.f((counts[:, None] + D) / self.scale)
+        terms = np.where(D > 0, self.weights * (after - before), 0.0)
+        total = np.zeros(D.shape[1])
+        for c in np.flatnonzero(self.active):
+            total += terms[c]
+        return total
 
     def gain(self, counts, delta):
-        return float(self.gains(counts, delta[None])[0])
+        return float(self.gains(counts, delta[:, None])[0])
 
 
 def welfare_objective(part: CommunityPartition, R: int, params: WelfareParams) -> _Objective:
@@ -153,7 +155,7 @@ def dc_objective(part: CommunityPartition, R: int, bounds: DcBounds) -> _Objecti
     """Normalized saturation sum_c min(u_c / U_c, 1) over the bounds U_c > 0."""
     U = np.array(bounds.bounds, dtype=np.float64)
     active = U > 0
-    divisor = np.where(active, U, 1.0)
+    divisor = np.where(active, U, 1.0)[:, None]
     return _Objective(part, R, lambda u: np.minimum(u / divisor, 1.0), active=active)
 
 
@@ -164,10 +166,10 @@ class _GreedyRun:
     """CELF lazy greedy on an existing coverage state, resumable.
 
     Each pick scores one block of fresh gains, ``objective.gains`` over
-    the ``uncovered`` rows; ``evaluations`` counts its rows of unchosen
-    vertices, and ``vals`` the objective from the start of this run.
-    ``cached`` is each vertex's gain when CELF last evaluated it: +inf
-    before then, -inf once chosen.  It persists between calls of
+    the ``uncovered`` columns; ``evaluations`` counts its columns of
+    unchosen vertices, and ``vals`` the objective from the start of this
+    run.  ``cached`` is each vertex's gain when CELF last evaluated it:
+    +inf before then, -inf once chosen.  It persists between calls of
     ``extend``, so a paused run picks as one that never paused.
 
     Runs on one evaluator, such as SATURATE's runs at each gamma or a

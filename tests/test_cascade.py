@@ -192,16 +192,20 @@ def _uncovered_instance():
     return g, dg, part
 
 
-def _check_uncovered_rows(sk, part, picks):
+def _check_uncovered_columns(sk, part, picks):
+    """Column u of the community-major (C, n) ``uncovered`` is
+    ``gain_counts(u)`` after each pick, and a chosen vertex's is zero."""
     state = sk.coverage_state(part)
+    assert state.uncovered.shape == (part.num_communities, sk.graph.n)
+    assert state.uncovered.dtype == np.int64 and state.uncovered.flags.c_contiguous
     chosen = []
     for v in [None, *picks]:
         if v is not None:
             state.add(int(v))
             chosen.append(int(v))
         for u in range(sk.graph.n):
-            assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
-        assert not state.uncovered[chosen].any()
+            assert np.array_equal(state.uncovered[:, u], state.gain_counts(u)), (v, u)
+        assert not state.uncovered[:, chosen].any()
 
 
 def test_uncovered_rows_track_gain_counts():
@@ -215,7 +219,7 @@ def test_uncovered_rows_track_gain_counts():
     assert (np.diff(undirected.items.own.indptr) >= 2).all()
     for sk in (undirected, sample_sketches(dg, 40, 2)):
         assert sk.items.lone[picks].all()
-        _check_uncovered_rows(sk, part, picks)
+        _check_uncovered_columns(sk, part, picks)
 
 
 def _touched(g, edge_masks):
@@ -333,42 +337,45 @@ def test_items_scan_the_keep_masks_once(monkeypatch):
 
 
 def test_uncovered_rows_track_gain_counts_across_chunks(monkeypatch):
-    # The first pick covers the most member rows, several of add's row chunks.
+    # The first pick covers the most member rows, several of add's
+    # chunks of _CHUNK_BYTES // (8 C) entries.
     g, dg, part = _uncovered_instance()
     monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * g.n * 3)
-    per_chunk = cascade._CHUNK_BYTES // 8
+    per_chunk = cascade._CHUNK_BYTES // (8 * part.num_communities)
     for graph in (g, dg):
         sk = sample_sketches(graph, 40, 2)
         rows = sk.items.reached @ np.diff(sk.items.members.indptr)
         first = int(np.argmax(rows))
         assert rows[first] > 2 * per_chunk
         picks = [first, *np.random.default_rng(5).permutation(g.n)[:11]]
-        _check_uncovered_rows(sk, part, picks)
-        # reach_counts sums the index over several blocks of item rows.
+        _check_uncovered_columns(sk, part, picks)
+        # reach_counts sums the index over several blocks of
+        # _CHUNK_BYTES // 8 entries.
         ev = sk.evaluator(part)
-        assert sk.items.members.nnz > 2 * per_chunk
+        assert sk.items.members.nnz > 2 * cascade._CHUNK_BYTES // 8
         one_shot = sk.items.members.T @ ev.comp_comm.astype(np.int64) + ev.lone_comm
         assert np.array_equal(ev.reach_counts, one_shot)
 
 
-def _spy_decrements(monkeypatch):
-    """Record the number of items in each ``CoverageState._decrement`` call."""
+def _spy_decrements(monkeypatch, measure=len):
+    """Record ``measure`` of the item row sizes of each
+    ``CoverageState._decrement`` call: by default, its number of items."""
     calls = []
     decrement = cascade.CoverageState._decrement
 
     def spy(self, stops, sizes, ends, weights):
-        calls.append(len(sizes))
-        decrement(self, stops, sizes, ends, weights)
+        calls.append(measure(sizes))
+        return decrement(self, stops, sizes, ends, weights)
 
     monkeypatch.setattr(cascade.CoverageState, "_decrement", spy)
     return calls
 
 
 def test_add_takes_rows_that_fit_one_chunk_in_one_decrement(monkeypatch):
-    # An add whose member rows hold exactly _CHUNK_BYTES // 8 entries makes
-    # one _decrement call; one entry more, a one-vertex row that starts at
-    # that bound, makes two.  A directed set has such rows: an SCC that no
-    # other vertex reaches.
+    # An add whose member rows hold exactly _CHUNK_BYTES // (8 C) entries
+    # makes one _decrement call; one entry more, a one-vertex row that
+    # starts at that bound, makes two.  A directed set has such rows: an
+    # SCC that no other vertex reaches.
     g, dg, part = _uncovered_instance()
     calls = _spy_decrements(monkeypatch)
     splits = []
@@ -386,16 +393,41 @@ def test_add_takes_rows_that_fit_one_chunk_in_one_decrement(monkeypatch):
                 cases.append((entries - 1, [len(new) - 1, 1]))
                 splits.append(graph.directed)
             for per_chunk, want in cases:
-                monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * per_chunk)
+                monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * part.num_communities * per_chunk)
                 calls.clear()
                 state = sk.coverage_state(part)
                 state.add(v)
                 assert calls == want, (v, per_chunk)
                 assert state.uncovered.dtype == np.int64
                 for u in range(graph.n):
-                    assert np.array_equal(state.uncovered[u], state.gain_counts(u)), (v, u)
-                assert not state.uncovered[v].any()
+                    assert np.array_equal(state.uncovered[:, u], state.gain_counts(u)), (v, u)
+                assert not state.uncovered[:, v].any()
     assert splits and all(splits)  # only the directed set has one-vertex rows
+
+
+def test_decrements_hold_at_most_a_chunk_of_entries_per_community(monkeypatch):
+    # _decrement holds C keys and C weights per entry of the rows it
+    # gathers, so at C = 16 each call takes at most _CHUNK_BYTES // (8 C)
+    # entries, not C times as many.  Every row here fits one call, and the
+    # first pick, which reaches the most entries, takes several.
+    g, part = generate_sbm(SbmSpec((8,) * 16, (0.4,) * 16, 0.03), rng_seed=4)
+    sk = sample_sketches(g, 40, 3)
+    per_chunk = 128
+    sizes = np.diff(sk.items.members.indptr)
+    assert part.num_communities == 16 and sizes.max() <= per_chunk
+    entries = sk.items.reached @ sizes
+    first = int(np.argmax(entries))
+    assert entries[first] > 3 * per_chunk
+    calls = _spy_decrements(monkeypatch, measure=lambda sizes: int(sizes.sum()))
+    monkeypatch.setattr(cascade, "_CHUNK_BYTES", 8 * 16 * per_chunk)
+    state = sk.coverage_state(part)
+    state.add(first)
+    assert len(calls) > 3 and sum(calls) == entries[first]
+    for v in np.random.default_rng(2).permutation(g.n)[:10]:
+        state.add(int(v))
+    assert calls and max(calls) <= per_chunk
+    for u in range(g.n):
+        assert np.array_equal(state.uncovered[:, u], state.gain_counts(u)), u
 
 
 def test_add_of_a_chosen_or_covered_vertex_changes_nothing(monkeypatch):
@@ -458,7 +490,7 @@ def test_sketch_pipeline_peak_bytes_per_pair():
     try:
         sk = sample_sketches(g, R, 0)
         state = sk.coverage_state(part)
-        for v in np.argsort(-state.uncovered.sum(axis=1), kind="stable")[:5]:
+        for v in np.argsort(-state.uncovered.sum(axis=0), kind="stable")[:5]:
             state.add(int(v))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -654,7 +686,7 @@ def test_items_hold_only_touched_pairs_and_counts_match_search():
                 covered = [c | reach[r][v] for r, c in enumerate(covered)]
                 for u in range(g.n):
                     gain = _community_counts([reach[r][u] - covered[r] for r in range(R)], part)
-                    assert np.array_equal(state.uncovered[u], gain), (directed, p, v, u)
+                    assert np.array_equal(state.uncovered[:, u], gain), (directed, p, v, u)
                     assert np.array_equal(state.gain_counts(u), gain), (directed, p, v, u)
             assert np.array_equal(state.counts, _community_counts(covered, part))
 

@@ -321,7 +321,7 @@ def test_block_gains_match_per_community_loop():
     state = sk.coverage_state(part)
     for v in (0, 21, 40):
         state.add(v)
-    D = np.vstack([state.uncovered, [[0, 0, 0], [5, 0, 0], [0, 0, 7]]])
+    D = np.hstack([state.uncovered, [[0, 5, 0], [0, 0, 0], [0, 0, 7]]])  # (C, m) columns
     bounds = DcBounds(bounds=(0.0, 0.3, 0.2), budgets=(0, 1, 1), k=3)
     ones, every = (1.0,) * 3, (True,) * 3
     cases = []
@@ -338,15 +338,52 @@ def test_block_gains_match_per_community_loop():
                   lambda c, u: min(u / bounds.bounds[c], 1.0), ones, (False, True, True)))
     for obj, f, weights, active in cases:
         got = obj.gains(state.counts, D)
-        for d, gain in zip(D, got):
+        for d, gain in zip(D.T, got):
             expected = _loop_gain(state.counts, d, R, sizes, f, weights, active)
             assert gain == pytest.approx(expected, rel=1e-12, abs=0.0)
             if not any(x > 0 and a for x, a in zip(d, active)):
                 assert gain == 0.0
-        assert obj.gain(state.counts, D[1]) == got[1]
+        assert obj.gain(state.counts, D[:, 1]) == got[1]
     total = TotalObjective(R).gains(state.counts, D)
-    assert list(total) == [sum(int(x) for x in d) / R for d in D]
+    assert list(total) == [sum(int(x) for x in d) / R for d in D.T]
     assert total[-3] == 0.0
+
+
+def _left_to_right_gain(obj, counts, d):
+    """The gain of column d as a Python float sum of its masked, weighted
+    terms, community by community from the left."""
+    column = counts[:, None]
+    terms = obj.weights * (obj.f((column + d[:, None]) / obj.scale) - obj.f(column / obj.scale))
+    total = 0.0
+    for c, term in enumerate(terms[:, 0]):
+        if d[c] > 0 and obj.active[c]:
+            total += float(term)
+    return total
+
+
+@pytest.mark.parametrize("C", [9, 16])
+def test_block_gains_add_communities_left_to_right(C):
+    # From 8 terms on, numpy's pairwise summation of a row groups the
+    # terms by position, so where the masked zeros sit could move a gain's
+    # last bit.  Block gains add the community rows in order instead: each
+    # column's gain is the left-to-right float sum of its terms, and the
+    # gain of that column alone.
+    g, part = _instance(C, sizes=tuple(6 + 2 * (c % 3) for c in range(C)), q=0.3, between=0.03)
+    sk = sample_sketches(g, 30, C)
+    state = sk.coverage_state(part)
+    for v in (0, 9, 17):
+        state.add(v)
+    U = tuple(0.0 if c % 3 == 0 else 0.1 + 0.05 * (c % 4) for c in range(C))
+    objectives = [welfare_objective(part, sk.R, default_params(a, g.n)) for a in (-2.0, 0.0, 0.5)]
+    objectives += [truncated_objective(part, sk.R, 0.2),
+                   dc_objective(part, sk.R, DcBounds(bounds=U, budgets=(0,) * C, k=C))]
+    assert np.count_nonzero(state.uncovered > 0, axis=0).max() >= 8
+    for obj in objectives:
+        got = obj.gains(state.counts, state.uncovered)
+        for u, gain in enumerate(got):
+            d = state.uncovered[:, u]
+            assert gain == _left_to_right_gain(obj, state.counts, d), u
+            assert gain == obj.gain(state.counts, d), u
 
 
 def test_welfare_objective_value_is_welfare_minus_floor():
